@@ -2,7 +2,10 @@
 """Time sparse voting and decomposition across thread counts.
 
 Runs on the standard synthetic street and verifies that every thread
-count produces bit-identical tensors.
+count produces bit-identical tensors. An untimed first pass counts the
+pairs the vote kernel examines, by wrapping `voting._reduce_block`: the
+receiver x candidate pairs of every block, how many of them lie inside
+the cutoff, and the largest block.
 """
 
 import argparse
@@ -11,7 +14,29 @@ import time
 import numpy as np
 
 from curbmap import (SceneSpec, VotingParams, build_index, decompose_batch,
-                     generate_scene, sparse_vote)
+                     generate_scene, sparse_vote, voting)
+
+
+def count_pairs(cloud, index, params):
+    """Vote once with a counting wrapper around the block kernel."""
+    stats = {"examined": 0, "inradius": 0, "largest": 0}
+    kernel = voting._reduce_block
+    r2 = params.cutoff * params.cutoff
+
+    def counting(rp, cp, *args):
+        pairs = rp.shape[1] * cp.shape[1]
+        d2 = sum(np.subtract.outer(rp[a], cp[a]) ** 2 for a in range(3))
+        stats["examined"] += pairs
+        stats["inradius"] += int(np.count_nonzero((d2 > 0.0) & (d2 <= r2)))
+        stats["largest"] = max(stats["largest"], pairs)
+        return kernel(rp, cp, *args)
+
+    voting._reduce_block = counting
+    try:
+        sparse_vote(cloud, index, params)
+    finally:
+        voting._reduce_block = kernel
+    return stats
 
 
 def main():
@@ -28,6 +53,10 @@ def main():
     index.candidate_table(params.cutoff)
     print(f"{len(cloud)} points, sigma {params.sigma} m, cutoff {params.cutoff:.3f} m, "
           f"{index.cell_count} occupied cells")
+    stats = count_pairs(cloud, index, params)
+    print(f"pairs examined {stats['examined']:,}, in radius {stats['inradius']:,}, "
+          f"yield {stats['inradius'] / max(stats['examined'], 1):.3f}, "
+          f"largest block {stats['largest']:,} pairs")
 
     reference = None
     for threads in (int(t) for t in args.threads.split(",")):

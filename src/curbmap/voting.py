@@ -16,6 +16,18 @@ Determinism contract: every point's neighbor contributions are summed in
 ascending neighbor index order with a single fixed reduction primitive
 (np.add.reduceat), so results are bit-identical across thread counts and
 across the grid-indexed and brute-force execution paths.
+
+How work is cut into blocks does not touch that order. The grid path
+votes each index cell's receivers against the cell's candidate list.
+A cell whose block exceeds _BLOCK_PAIRS pairs is split by half-cell
+octant: each octant's receivers keep the candidates within
+ceil(cutoff / half cell) half cells of their own, as a half-size grid
+would list them. That subset still holds every in-radius neighbor, and
+it is cut from the ascending list by a mask, so it stays ascending. Any
+block still above _ROW_CHUNK_BLOCKS * _BLOCK_PAIRS pairs, on either
+path, is cut into row chunks, and rows are independent. Each receiver
+therefore hands reduceat the same values in the same order whatever
+the split.
 """
 
 from __future__ import annotations
@@ -36,6 +48,8 @@ CUTOFF_SIGMAS = math.sqrt(math.log(1000.0))
 
 _CELL_BATCH = 48       # grid cells per parallel task
 _BRUTE_CHUNK = 512     # receivers per parallel task on the brute path
+_BLOCK_PAIRS = 1 << 16  # cell blocks above this many pairs split by octant
+_ROW_CHUNK_BLOCKS = 4   # blocks above this many _BLOCK_PAIRS split into row chunks
 
 SALIENCY_CHANNELS = ("stick", "plate", "ball", "nx", "ny", "nz", "zsal")
 
@@ -117,64 +131,105 @@ def ball_vote(receiver, voter, sigma: float) -> np.ndarray:
     return w * (np.eye(3) - np.outer(u, u))
 
 
-def _reduce_block(dx, dy, dz, r2: float, s2: float) -> np.ndarray:
-    """Votes for a block of receivers against their shared candidate rows.
+def _reduce_block(rp, cp, r2: float, s2: float) -> np.ndarray:
+    """Votes for a block of receivers against their shared candidates.
 
-    dx, dy, dz are (k, m) offset blocks receiver-minus-candidate with
-    candidate columns in ascending point index order. Pairs outside the
-    cutoff and coincident pairs (d = 0: the receiver itself, or an exact
-    duplicate point) contribute nothing. Returns (k, 6) accumulated
-    tensors; the per-receiver sum runs over surviving candidates left to
-    right via one np.add.reduceat call, which is what makes the result
-    independent of how work was split across threads or execution paths.
+    rp (3, k) and cp (3, m) hold receiver and candidate coordinates, the
+    candidates in ascending point index order. Offsets are receiver
+    minus candidate. Pairs outside the cutoff and coincident pairs
+    (d = 0: the receiver itself, or an exact duplicate point) contribute
+    nothing. Returns (k, 6) accumulated tensors.
+
+    The surviving contributions are laid out as one contiguous (6, p)
+    array, one row per component and the columns grouped by receiver,
+    and each receiver's sum runs over its candidates left to right via
+    one np.add.reduceat call. Every per-pair value is computed with a
+    fixed operand order, so a receiver
+    gets the same bytes from any block that lists the same in-radius
+    candidates in the same order: that is what makes the result
+    independent of how receivers and candidates are split into blocks,
+    threads or execution paths.
     """
+    k = rp.shape[1]
+    dx = np.subtract.outer(rp[0], cp[0])
+    dy = np.subtract.outer(rp[1], cp[1])
+    dz = np.subtract.outer(rp[2], cp[2])
     d2 = dx * dx
     d2 += dy * dy
     d2 += dz * dz
-    mask = (d2 > 0.0) & (d2 <= r2)
-    cnt = mask.sum(axis=1)
-    flat = mask.ravel()
-    d2m = d2.ravel()[flat]
-    w = np.exp(-d2m / s2)
-    inv = 1.0 / np.sqrt(d2m)
-    ux = dx.ravel()[flat] * inv
-    uy = dy.ravel()[flat] * inv
-    uz = dz.ravel()[flat] * inv
-    contrib = np.empty((len(w), 6))
-    contrib[:, 0] = w * (1.0 - ux * ux)
-    contrib[:, 1] = -w * ux * uy
-    contrib[:, 2] = -w * ux * uz
-    contrib[:, 3] = w * (1.0 - uy * uy)
-    contrib[:, 4] = -w * uy * uz
-    contrib[:, 5] = w * (1.0 - uz * uz)
-    out = np.zeros((mask.shape[0], 6))
-    if len(w):
-        offsets = np.zeros(mask.shape[0], dtype=np.int64)
-        np.cumsum(cnt[:-1], out=offsets[1:])
-        reduced = np.add.reduceat(contrib, np.minimum(offsets, len(w) - 1), axis=0)
-        nonzero = cnt > 0
-        out[nonzero] = reduced[nonzero]
+    mask = d2 <= r2
+    mask &= d2 > 0.0
+    cnt = np.count_nonzero(mask, axis=1)
+    flat = np.flatnonzero(mask)
+    out = np.zeros((k, 6))
+    if len(flat) == 0:
+        return out
+    d2 = d2.take(flat)
+    ux = dx.take(flat)
+    uy = dy.take(flat)
+    uz = dz.take(flat)
+    del dx, dy, dz, mask   # free the (k, m) blocks before the per-pair arrays
+    w = np.negative(d2)
+    w /= s2
+    np.exp(w, out=w)
+    inv = np.sqrt(d2, out=d2)
+    np.divide(1.0, inv, out=inv)
+    ux *= inv
+    uy *= inv
+    uz *= inv
+    contrib = np.empty((6, len(w)))
+    nw = np.negative(w, out=inv)
+    for row, u in ((0, ux), (3, uy), (5, uz)):          # w * (1 - u*u)
+        np.multiply(u, u, out=contrib[row])
+        np.subtract(1.0, contrib[row], out=contrib[row])
+        contrib[row] *= w
+    np.multiply(nw, ux, out=contrib[1])                  # ((-w) * ux) * uy
+    np.multiply(contrib[1], uz, out=contrib[2])          # ((-w) * ux) * uz
+    contrib[1] *= uy
+    np.multiply(nw, uy, out=contrib[4])                  # ((-w) * uy) * uz
+    contrib[4] *= uz
+    offsets = np.zeros(k, dtype=np.int64)
+    np.cumsum(cnt[:-1], out=offsets[1:])
+    nonzero = cnt > 0
+    out[nonzero] = np.add.reduceat(contrib, offsets[nonzero], axis=1).T
     return out
 
 
-def _vote_grid_cells(points, index, slots, r2, s2, cutoff, out):
+def _vote_block(coords, recv, cand, r2, s2, out):
+    """Vote receivers `recv` against candidates `cand` in bounded row chunks.
+
+    Each chunk holds at most _ROW_CHUNK_BLOCKS * _BLOCK_PAIRS pairs, or a
+    single receiver row. Rows are independent, so chunking never changes
+    the output.
+    """
+    cp = coords[:, cand]
+    rows = max(1, (_ROW_CHUNK_BLOCKS * _BLOCK_PAIRS) // max(len(cand), 1))
+    for a in range(0, len(recv), rows):
+        chunk = recv[a:a + rows]
+        out[chunk] = _reduce_block(coords[:, chunk], cp, r2, s2)
+
+
+def _vote_grid_cells(coords, index, slots, r2, s2, cutoff, out):
+    """Vote the receivers of index cells `slots`, splitting dense cells."""
+    half = index.cell_size / 2.0
+    reach = math.ceil(cutoff / half)
     for slot in slots:
         recv = index.cell_points(slot)
         cand = index.cell_candidates(slot, cutoff)
-        rp = points[recv]
-        cp = points[cand]
-        dx = rp[:, 0][:, None] - cp[:, 0][None, :]
-        dy = rp[:, 1][:, None] - cp[:, 1][None, :]
-        dz = rp[:, 2][:, None] - cp[:, 2][None, :]
-        out[recv] = _reduce_block(dx, dy, dz, r2, s2)
-
-
-def _vote_brute_chunk(points, start, stop, r2, s2, out):
-    rp = points[start:stop]
-    dx = rp[:, 0][:, None] - points[:, 0][None, :]
-    dy = rp[:, 1][:, None] - points[:, 1][None, :]
-    dz = rp[:, 2][:, None] - points[:, 2][None, :]
-    out[start:stop] = _reduce_block(dx, dy, dz, r2, s2)
+        if len(recv) * len(cand) <= _BLOCK_PAIRS:
+            _vote_block(coords, recv, cand, r2, s2, out)
+            continue
+        # Dense cell: one sub-block per half-cell octant, each against the
+        # candidates a half-size grid would list for it, still ascending.
+        hr = np.floor((coords[:, recv].T - index.origin) / half).astype(np.int64)
+        hc = np.floor((coords[:, cand].T - index.origin) / half).astype(np.int64)
+        octant = (hr & 1) @ np.array([4, 2, 1])
+        for o in np.unique(octant):
+            sel = octant == o
+            lo = hr[sel].min(axis=0) - reach
+            hi = hr[sel].max(axis=0) + reach
+            near = ((hc >= lo) & (hc <= hi)).all(axis=1)
+            _vote_block(coords, recv[sel], cand[near], r2, s2, out)
 
 
 def sparse_vote(
@@ -193,14 +248,16 @@ def sparse_vote(
     n = len(cloud)
     if n == 0:
         raise EmptyInputError("cannot vote over an empty cloud")
-    points = cloud.points
+    coords = np.ascontiguousarray(cloud.points.T)
     r2 = params.cutoff * params.cutoff
     s2 = params.sigma * params.sigma
     out = np.zeros((n, 6))
 
     if index is None:
+        everyone = np.arange(n)
         tasks = [
-            (lambda a=a, b=min(a + _BRUTE_CHUNK, n): _vote_brute_chunk(points, a, b, r2, s2, out))
+            (lambda chunk=everyone[a:a + _BRUTE_CHUNK]: _vote_block(
+                coords, chunk, everyone, r2, s2, out))
             for a in range(0, n, _BRUTE_CHUNK)
         ]
     else:
@@ -208,7 +265,7 @@ def sparse_vote(
         slots = range(index.cell_count)
         tasks = [
             (lambda batch=slots[a:a + _CELL_BATCH]: _vote_grid_cells(
-                points, index, batch, r2, s2, params.cutoff, out))
+                coords, index, batch, r2, s2, params.cutoff, out))
             for a in range(0, index.cell_count, _CELL_BATCH)
         ]
     if threads <= 1:

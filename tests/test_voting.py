@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curbmap import (EmptyInputError, PointCloud, VotingParams, ZeroDistanceError,
                      ball_vote, build_index, decay, decompose, decompose_batch,
                      encode, saliencies, saliency_field, sparse_vote)
+from curbmap import voting
 from curbmap.scene import _sample_grid
 from curbmap.voting import CUTOFF_SIGMAS
 
@@ -161,6 +164,101 @@ class TestSparseVote:
         t6 = sparse_vote(cloud, None, VotingParams(sigma=0.5, include_self=False))
         lam, _ = decompose_batch(t6)
         assert lam.min() > -1e-9
+
+
+def block_spy(monkeypatch):
+    """Record (receivers, candidates) of every block the vote kernel sees."""
+    seen = []
+    kernel = voting._reduce_block
+
+    def spy(rp, cp, *args):
+        seen.append((rp.shape[1], cp.shape[1]))
+        return kernel(rp, cp, *args)
+
+    monkeypatch.setattr(voting, "_reduce_block", spy)
+    return seen
+
+
+def assert_blocks_bounded(seen):
+    # a block never exceeds the row-chunk bound unless it is a single row
+    bound = voting._ROW_CHUNK_BLOCKS * voting._BLOCK_PAIRS
+    assert seen
+    for rows, cols in seen:
+        assert rows * cols <= bound or rows == 1
+
+
+class TestSplitBlocks:
+    """Octant-split and row-chunked blocks against the double-loop oracle."""
+
+    PARAMS = VotingParams(sigma=0.25, cutoff=0.5)
+
+    @pytest.fixture
+    def dense(self, rng):
+        # 27 cutoff cells of ~100 points: every cell block is well above
+        # _BLOCK_PAIRS, the centre one (100 x 2,700) four times over
+        return rng.uniform(0, 1.5, size=(2700, 3))
+
+    def test_dense_cells_split_and_match_oracle(self, dense, monkeypatch):
+        cutoff = self.PARAMS.cutoff
+        cloud = cloud_of(dense)
+        expected = double_loop_vote(dense, self.PARAMS.sigma, cutoff)
+        index = build_index(cloud, cutoff)
+        assert max(len(index.cell_points(s)) * len(index.cell_candidates(s, cutoff))
+                   for s in range(index.cell_count)) > 4 * voting._BLOCK_PAIRS
+        seen = block_spy(monkeypatch)
+        for threads in (1, 2, 4):
+            seen.clear()
+            via_grid = sparse_vote(cloud, index, self.PARAMS, threads=threads)
+            assert len(seen) > index.cell_count   # dense cells were split
+            assert np.array_equal(via_grid, expected)
+        for scale in (0.5, 1.5):
+            other = build_index(cloud, scale * cutoff)
+            assert np.array_equal(sparse_vote(cloud, other, self.PARAMS), expected)
+        assert np.array_equal(sparse_vote(cloud, None, self.PARAMS, threads=2), expected)
+
+    def test_block_memory_bounded(self, dense, monkeypatch):
+        cloud = cloud_of(dense)
+        assert len(cloud) <= voting._ROW_CHUNK_BLOCKS * voting._BLOCK_PAIRS
+        seen = block_spy(monkeypatch)
+        sparse_vote(cloud, build_index(cloud, self.PARAMS.cutoff), self.PARAMS)
+        assert_blocks_bounded(seen)
+        seen.clear()
+        sparse_vote(cloud, None, self.PARAMS)
+        assert_blocks_bounded(seen)
+        # a row of the brute path holds every point: the chunks stay
+        # within the bound because this cloud is smaller than it
+        assert max(rows * cols for rows, cols in seen) > voting._BLOCK_PAIRS
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lattice=st.lists(st.tuples(*[st.integers(-6, 12)] * 3), min_size=1, max_size=60),
+        free=st.lists(st.tuples(*[st.floats(-1.5, 3.0, allow_nan=False)] * 3), max_size=12),
+        duplicates=st.lists(st.integers(0, 71), max_size=8),
+        scale=st.sampled_from([1.0, 0.5, 1.5]),
+        block_pairs=st.integers(1, 64),
+        threads=st.sampled_from([1, 2, 4]),
+    )
+    def test_split_blocks_match_oracle(self, lattice, free, duplicates, scale,
+                                       block_pairs, threads):
+        # Lattice points are multiples of 0.25 m: with cutoff 1 m they sit
+        # exactly on half-cell boundaries of all three index cell sizes
+        # (when no free point moves the origin), many pairs are exactly
+        # one cutoff apart, and repeats are exact duplicates.
+        points = np.array(lattice, dtype=float) * 0.25
+        if free:
+            points = np.concatenate([points, np.array(free)])
+        points = np.concatenate([points, points[[d % len(points) for d in duplicates]]])
+        cloud = cloud_of(points)
+        params = VotingParams(sigma=0.5, cutoff=1.0)
+        expected = double_loop_vote(points, params.sigma, params.cutoff)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(voting, "_BLOCK_PAIRS", block_pairs)
+            seen = block_spy(patch)
+            via_grid = sparse_vote(cloud, build_index(cloud, scale), params, threads=threads)
+            via_brute = sparse_vote(cloud, None, params, threads=threads)
+            assert_blocks_bounded(seen)
+        assert np.array_equal(via_grid, expected)
+        assert np.array_equal(via_brute, expected)
 
 
 def plane_patch(rng, half=1.5, density=450.0, noise=0.01):
