@@ -3,10 +3,12 @@
 
 Writes the labeled cloud, DEM, raster, and compact grid into an output
 directory and prints stage timings plus detection quality against the
-scene's ground truth.
+scene's ground truth. Each written file is listed with its sha256, so the
+outputs of two checkouts can be compared for byte identity.
 """
 
 import argparse
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +57,7 @@ def main():
     accuracy = (result.grid.labels == reference.labels).mean()
     print(f"semantic grid accuracy: {accuracy:.3f}")
     for path in result.written:
-        print(f"wrote: {path}")
+        print(f"wrote: {path} sha256 {hashlib.sha256(Path(path).read_bytes()).hexdigest()}")
 
 
 if __name__ == "__main__":

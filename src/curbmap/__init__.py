@@ -24,8 +24,8 @@ from .scene import SceneSpec, generate_scene, truth_grid
 from .semantic import (ClassifyParams, LABEL_COLORS, SemanticGrid, SemanticLabel,
                        TRAVERSABILITY, classify_cells, read_compact, render_raster,
                        write_compact)
-from .voting import (EigenDecomposition3, SaliencyRecord, VotingParams, ball_vote,
-                     decay, decompose, decompose_batch, encode, saliencies,
-                     saliency_field, saliency_record, sparse_vote)
+from .voting import (EigenDecomposition3, SaliencyRecord, VotingParams,
+                     attach_saliencies, ball_vote, decay, decompose, decompose_batch,
+                     encode, saliencies, saliency_field, saliency_record, sparse_vote)
 
 __version__ = "0.1.0"

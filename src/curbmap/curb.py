@@ -49,10 +49,16 @@ class CurbParams:
 
 @dataclass(frozen=True)
 class CurbDetection:
-    """Detected curb point indices with per-point confidence in [0, 1]."""
+    """Detected curb point indices with per-point confidence in [0, 1].
+
+    plate_candidates and height_gated count the points that passed the
+    first two filters, the funnel leading to the final indices.
+    """
 
     indices: np.ndarray
     confidence: np.ndarray
+    plate_candidates: int
+    height_gated: int
 
 
 def plate_candidates(cloud: PointCloud, params: CurbParams) -> np.ndarray:
@@ -95,18 +101,12 @@ def outlier_removal(cloud: PointCloud, candidates: np.ndarray, radius: float,
     return candidates[keep]
 
 
-def detect_curbs(cloud: PointCloud, dem: DemGrid, params: CurbParams,
-                 voting_params=None, threads: int = 1) -> CurbDetection:
+def detect_curbs(cloud: PointCloud, dem: DemGrid, params: CurbParams) -> CurbDetection:
     """Full curb selection over a saliency-annotated cloud.
 
-    The cloud must carry the plate channel; pass voting_params to compute
-    the saliency field here when it does not. Confidence is the plate
+    The cloud must carry the plate channel. Confidence is the plate
     saliency normalized by the per-cloud maximum.
     """
-    if "plate" not in cloud.channels and voting_params is not None:
-        from .voting import saliency_field
-
-        cloud = saliency_field(cloud, voting_params, threads=threads)
     plate = cloud.channel("plate")
     stage1 = plate_candidates(cloud, params)
     stage2 = height_gate(cloud, stage1, dem, params)
@@ -114,4 +114,4 @@ def detect_curbs(cloud: PointCloud, dem: DemGrid, params: CurbParams,
                              params.outlier_min_neighbors)
     peak = plate.max() if len(plate) else 1.0
     confidence = plate[stage3] / peak if peak > 0 else np.zeros(len(stage3))
-    return CurbDetection(stage3, confidence)
+    return CurbDetection(stage3, confidence, len(stage1), len(stage2))

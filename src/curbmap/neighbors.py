@@ -40,7 +40,7 @@ class UniformGridIndex:
     starts: np.ndarray      # offset of each cell's slice in `order`
     counts: np.ndarray      # population of each cell
     order: np.ndarray       # point indices grouped by cell
-    _run_tables: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def cell_count(self) -> int:
@@ -74,40 +74,6 @@ class UniformGridIndex:
         s = self.starts[slot]
         return self.order[s:s + self.counts[slot]]
 
-    def run_table(self, radius: float):
-        """Per-cell candidate runs for a query radius, computed once.
-
-        Returns (ptr, run_starts, run_counts): cell `slot` draws its
-        candidates from order[run_starts[k]:run_starts[k]+run_counts[k]]
-        for k in ptr[slot]:ptr[slot+1].
-        """
-        reach = int(np.ceil(radius / self.cell_size))
-        table = self._run_tables.get(reach)
-        if table is not None:
-            return table
-        span = np.arange(-reach, reach + 1, dtype=np.int64)
-        offs = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
-        cc = np.stack(self._decode(self.cell_keys), axis=1)
-        ncell, k = len(cc), len(offs)
-        nb = (cc[:, None, :] + offs[None, :, :]).reshape(-1, 3)
-        keys, ok = self._encode_inrange(nb)
-        pos = np.searchsorted(self.cell_keys, keys[ok])
-        pos = np.minimum(pos, max(self.cell_count - 1, 0))
-        hit = np.zeros(ncell * k, dtype=bool)
-        if self.cell_count:
-            hit[np.flatnonzero(ok)] = self.cell_keys[pos] == keys[ok]
-        slot_of = np.repeat(np.arange(ncell), k)[hit]
-        hit_pos = np.zeros(ncell * k, dtype=np.int64)
-        if self.cell_count:
-            hit_pos[np.flatnonzero(ok)] = pos
-        hit_pos = hit_pos[hit]
-        ptr = np.zeros(ncell + 1, dtype=np.int64)
-        np.add.at(ptr, slot_of + 1, 1)
-        np.cumsum(ptr, out=ptr)
-        table = (ptr, self.starts[hit_pos], self.counts[hit_pos])
-        self._run_tables[reach] = table
-        return table
-
     def candidate_table(self, radius: float):
         """Flat per-cell candidate lists for a query radius, built once.
 
@@ -117,10 +83,29 @@ class UniformGridIndex:
         per-cell hot path is reduced to slicing.
         """
         reach = int(np.ceil(radius / self.cell_size))
-        cached = self._run_tables.get(("cand", reach))
-        if cached is not None:
-            return cached
-        ptr, run_starts, run_counts = self.run_table(radius)
+        table = self._tables.get(reach)
+        if table is not None:
+            return table
+        # Runs: cell `slot` draws from order[run_starts[k]:run_starts[k] + run_counts[k]]
+        # for k in ptr[slot]:ptr[slot + 1].
+        span = np.arange(-reach, reach + 1, dtype=np.int64)
+        offs = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+        cc = np.stack(self._decode(self.cell_keys), axis=1)
+        ncell, k = len(cc), len(offs)
+        nb = (cc[:, None, :] + offs[None, :, :]).reshape(-1, 3)
+        keys, ok = self._encode_inrange(nb)
+        pos = np.searchsorted(self.cell_keys, keys[ok])
+        pos = np.minimum(pos, max(self.cell_count - 1, 0))
+        hit = np.zeros(ncell * k, dtype=bool)
+        hit_pos = np.zeros(ncell * k, dtype=np.int64)
+        if self.cell_count:
+            hit[ok] = self.cell_keys[pos] == keys[ok]
+            hit_pos[ok] = pos
+        hit_pos = hit_pos[hit]
+        ptr = np.zeros(ncell + 1, dtype=np.int64)
+        np.cumsum(hit.reshape(ncell, k).sum(axis=1), out=ptr[1:])
+        run_starts, run_counts = self.starts[hit_pos], self.counts[hit_pos]
+
         total = int(run_counts.sum())
         cum = np.zeros(len(run_counts) + 1, dtype=np.int64)
         np.cumsum(run_counts, out=cum[1:])
@@ -133,7 +118,7 @@ class UniformGridIndex:
                         np.diff(cell_ptr))
         composite = np.sort(seg * n + flat)
         table = (cell_ptr, composite % n)
-        self._run_tables[("cand", reach)] = table
+        self._tables[reach] = table
         return table
 
     def cell_candidates(self, slot: int, radius: float) -> np.ndarray:

@@ -82,7 +82,6 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     report = TimingReport()
     clock = _StageClock(report)
     written: list[str] = []
-    stage = "parse"
     try:
         clock.start("parse")
         if cloud is None:
@@ -92,7 +91,6 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         clock.stop()
         report.counts["parse_points"] = len(cloud)
 
-        stage = "crop"
         clock.start("crop")
         if config.crop is not None:
             cloud = crop(cloud, config.crop)
@@ -101,28 +99,18 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         clock.stop()
         report.counts["crop_points"] = len(cloud)
 
-        stage = "index"
         clock.start("index")
         index = None if config.oracle else build_index(cloud, config.voting.cutoff)
         clock.stop()
 
-        stage = "vote"
         clock.start("vote")
         tensors = voting.sparse_vote(cloud, index, config.voting, threads=config.threads)
         clock.stop()
 
-        stage = "decompose"
         clock.start("decompose")
-        lam, vecs = voting.decompose_batch(tensors)
-        stick, plate, ball = voting.saliencies(lam)
-        cloud = cloud.with_channels(
-            stick=stick, plate=plate, ball=ball,
-            nx=vecs[:, 0, 0], ny=vecs[:, 0, 1], nz=vecs[:, 0, 2],
-            zsal=np.abs(vecs[:, 0, 2]) * stick,
-        )
+        cloud = voting.attach_saliencies(cloud, tensors)
         clock.stop()
 
-        stage = "dem"
         clock.start("dem")
         ground_idx = dem_mod.extract_ground_candidates(cloud, config.ground)
         if len(ground_idx) == 0:
@@ -136,29 +124,19 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         clock.stop()
         report.counts["ground_candidates"] = len(ground_idx)
 
-        stage = "curb"
         clock.start("curb")
-        stage1 = curb_mod.plate_candidates(cloud, config.curb)
-        stage2 = curb_mod.height_gate(cloud, stage1, refined, config.curb)
-        stage3 = curb_mod.outlier_removal(cloud, stage2, config.curb.outlier_radius,
-                                          config.curb.outlier_min_neighbors)
-        peak = cloud.channel("plate").max()
-        detection = curb_mod.CurbDetection(
-            stage3, cloud.channel("plate")[stage3] / peak if peak > 0 else
-            np.zeros(len(stage3)))
+        detection = curb_mod.detect_curbs(cloud, refined, config.curb)
         clock.stop()
-        report.counts["curb_plate_candidates"] = len(stage1)
-        report.counts["curb_height_gated"] = len(stage2)
-        report.counts["curb_points"] = len(stage3)
+        report.counts["curb_plate_candidates"] = detection.plate_candidates
+        report.counts["curb_height_gated"] = detection.height_gated
+        report.counts["curb_points"] = len(detection.indices)
 
-        stage = "grid"
         clock.start("grid")
         grid = semantic.classify_cells(cloud, refined, detection.indices,
                                        ground_idx, config.classify)
         clock.stop()
         report.counts["grid_cells"] = int(grid.labels.size)
 
-        stage = "export"
         clock.start("export")
         if config.out_cloud:
             curb_conf = np.zeros(len(cloud))
@@ -178,7 +156,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
                 os.unlink(path)
             except OSError:
                 pass
-        raise PipelineError(stage, exc) from exc
+        raise PipelineError(clock.stage, exc) from exc
     return PipelineResult(report, cloud, refined, detection, grid, written)
 
 

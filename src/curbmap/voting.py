@@ -51,8 +51,6 @@ _BRUTE_CHUNK = 512     # receivers per parallel task on the brute path
 _BLOCK_PAIRS = 1 << 16  # cell blocks above this many pairs split by octant
 _ROW_CHUNK_BLOCKS = 4   # blocks above this many _BLOCK_PAIRS split into row chunks
 
-SALIENCY_CHANNELS = ("stick", "plate", "ball", "nx", "ny", "nz", "zsal")
-
 
 @dataclass(frozen=True)
 class VotingParams:
@@ -306,25 +304,14 @@ def saliency_record(dec: EigenDecomposition3) -> SaliencyRecord:
                           dec.eigenvectors[0], dec.eigenvectors[2])
 
 
-def saliency_field(
-    cloud: PointCloud,
-    params: VotingParams,
-    index: UniformGridIndex | None = None,
-    threads: int = 1,
-    use_index: bool = True,
-) -> PointCloud:
-    """Run encode -> sparse_vote -> decompose and attach saliency channels.
+def attach_saliencies(cloud: PointCloud, tensors: np.ndarray) -> PointCloud:
+    """Decompose (n, 6) vote tensors and attach the saliency channels.
 
     Adds channels stick, plate, ball, nx, ny, nz (components of the
     leading eigenvector) and zsal = |nz| * stick, the vertical component
     of the stick-weighted normal, which separates ground-like points from
     everything else.
     """
-    if len(cloud) == 0:
-        raise EmptyInputError("cannot compute saliencies of an empty cloud")
-    if index is None and use_index:
-        index = build_index(cloud, params.cutoff)
-    tensors = sparse_vote(cloud, index if use_index else None, params, threads=threads)
     lam, vecs = decompose_batch(tensors)
     stick, plate, ball = saliencies(lam)
     normals = vecs[:, 0, :]
@@ -337,3 +324,13 @@ def saliency_field(
         nz=normals[:, 2],
         zsal=np.abs(normals[:, 2]) * stick,
     )
+
+
+def saliency_field(cloud: PointCloud, params: VotingParams, threads: int = 1) -> PointCloud:
+    """Index, sparse_vote and attach_saliencies in one call.
+
+    For the brute-force path, call
+    attach_saliencies(cloud, sparse_vote(cloud, None, params)).
+    """
+    index = build_index(cloud, params.cutoff)
+    return attach_saliencies(cloud, sparse_vote(cloud, index, params, threads=threads))

@@ -246,7 +246,7 @@ class TestCriterion9PerformanceAnchor:
     def test_voting_performance_and_scaling(self, street_cloud):
         params = VotingParams(sigma=0.3)
         index = build_index(street_cloud, params.cutoff)
-        index.run_table(params.cutoff)
+        index.candidate_table(params.cutoff)
 
         t0 = time.perf_counter()
         single = sparse_vote(street_cloud, index, params, threads=1)

@@ -166,13 +166,6 @@ class TestDetectCurbs:
         assert set(detection.indices.tolist()) <= set(
             plate_candidates(field, params).tolist())
 
-    def test_computes_field_on_demand(self, rng):
-        xy = _sample_grid(rng, -1, 1, -1, 1, 200.0, jitter=0.1)
-        bare = PointCloud(np.column_stack([xy, np.zeros(len(xy))]))
-        dem = flat_dem(rng, half=1.5)
-        detection = detect_curbs(bare, dem, CurbParams(), voting_params=VotingParams(sigma=0.3))
-        assert detection.indices.dtype == np.int64
-
     def test_deterministic_across_runs(self, step_scene):
         _, field, dem = step_scene
         first = detect_curbs(field, dem, CurbParams())

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curbmap import (CropBox, PipelineConfig, PipelineError, SceneSpec,
-                     generate_scene, read_compact, run_pipeline, write_cloud)
+from curbmap import (CropBox, PipelineConfig, PipelineError, PointCloud, SceneSpec,
+                     detect_curbs, generate_scene, read_compact, run_pipeline,
+                     saliency_field, write_cloud)
 from curbmap.cli import main
 from curbmap.scene import curb_face_distance
 
@@ -96,6 +97,31 @@ class TestRunPipeline:
             run_pipeline(config, cloud=tiny)
             out[name] = (tmp_path / f"{name}.sgrd").read_bytes()
         assert out["grid"] == out["brute"]
+
+    def test_matches_library_path(self, tmp_path, small_cloud):
+        config = config_for(tmp_path, out_cloud="", out_dem="", out_raster="", out_grid="")
+        result = run_pipeline(config, cloud=small_cloud)
+        field = saliency_field(small_cloud, config.voting)
+        for name in ("stick", "plate", "ball", "nx", "ny", "nz", "zsal"):
+            assert np.array_equal(result.cloud.channel(name), field.channel(name)), name
+        detection = detect_curbs(field, result.dem, config.curb)
+        assert result.detection.indices.tobytes() == detection.indices.tobytes()
+        assert result.detection.confidence.tobytes() == detection.confidence.tobytes()
+        counts = result.timing.counts
+        assert detection.plate_candidates == counts["curb_plate_candidates"]
+        assert detection.height_gated == counts["curb_height_gated"]
+        assert len(detection.indices) == counts["curb_points"]
+
+    @pytest.mark.parametrize("points", [
+        np.column_stack([np.zeros(2000),
+                         np.random.default_rng(3).uniform((-5.0, 0.0), (5.0, 2.0), (2000, 2))]),
+        np.array([[1.0, 2.0, 3.0]]),
+    ], ids=["vertical_wall", "single_point"])
+    def test_degenerate_cloud_names_dem_stage(self, tmp_path, points):
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config_for(tmp_path), cloud=PointCloud(points))
+        assert err.value.stage == "dem"
+        assert not list(tmp_path.iterdir())
 
     def test_reads_cloud_from_disk(self, tmp_path, small_cloud):
         path = tmp_path / "scene.xyz"
