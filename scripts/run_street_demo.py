@@ -4,17 +4,20 @@
 Writes the labeled cloud, DEM, raster, and compact grid into an output
 directory and prints stage timings plus detection quality against the
 scene's ground truth. Each written file is listed with its sha256, so the
-outputs of two checkouts can be compared for byte identity.
+outputs of two checkouts can be compared for byte identity. The labeled
+cloud is then parsed back: `time_reparse_s` is the text parse time of
+the standard street, and the values read must equal the ones written.
 """
 
 import argparse
 import hashlib
+import time
 from pathlib import Path
 
 import numpy as np
 
 from curbmap import (ClassifyParams, CurbParams, PipelineConfig, SceneSpec,
-                     generate_scene, run_pipeline, truth_grid)
+                     generate_scene, parse_cloud, run_pipeline, truth_grid)
 from curbmap.scene import curb_face_distance
 
 
@@ -58,6 +61,18 @@ def main():
     print(f"semantic grid accuracy: {accuracy:.3f}")
     for path in result.written:
         print(f"wrote: {path} sha256 {hashlib.sha256(Path(path).read_bytes()).hexdigest()}")
+
+    data = Path(config.out_cloud).read_bytes()
+    t0 = time.perf_counter()
+    back, _ = parse_cloud(data, "xyz")
+    print(f"time_reparse_s: {time.perf_counter() - t0:.3f}")
+    curb_conf = np.zeros(len(result.cloud))
+    curb_conf[result.detection.indices] = result.detection.confidence
+    written = [result.cloud.points, *result.cloud.channels.values(), curb_conf]
+    read = [back.points, *back.channels.values()]
+    if not np.array_equal(np.column_stack(read), np.column_stack(written)):
+        raise SystemExit("labeled cloud round trip is not exact")
+    print("labeled cloud round trip: exact")
 
 
 if __name__ == "__main__":

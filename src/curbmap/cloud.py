@@ -5,11 +5,22 @@ XYZ rows. Extra PCD fields and extra XYZ columns become named scalar
 channels on the cloud. Points with non-finite coordinates are dropped at
 parse time and reported in the parse summary rather than failing the
 whole file, since real LiDAR dumps routinely contain NaN returns.
+
+Both formats share one data path, run in chunks of rows so that no
+Python frame runs per value: the data lines are split with str.split,
+row widths are checked with numpy, every token of the chunk goes through
+one map(float, ...) (Python's float spellings, nan and 1_0 included) and
+the values are reshaped, after which a numpy mask drops the rows with a
+non-finite coordinate. The writer formats column slices with
+map(repr, ...) and joins each row with zip and " ".join; repr of a float
+is the shortest text that reads back to the same value.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -19,6 +30,9 @@ _PCD_HEADER_ORDER = (
     "VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
     "WIDTH", "HEIGHT", "VIEWPOINT", "POINTS", "DATA",
 )
+# Rows per chunk of the text reader and writer: bounds the token and
+# string objects alive at once.
+_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -107,7 +121,8 @@ def parse_cloud(source: bytes | str, fmt: str) -> tuple[PointCloud, ParseSummary
 
     fmt is "pcd" or "xyz". Rows whose coordinates are not finite are
     dropped and recorded in the summary. Structural problems (bad header,
-    declared/actual count mismatch, short rows) raise ParseError.
+    declared/actual count mismatch, short rows) raise ParseError; when
+    several rows are bad, the first one in file order is reported.
     """
     text = source.decode("utf-8", errors="replace") if isinstance(source, bytes) else source
     fmt = fmt.lower()
@@ -118,51 +133,75 @@ def parse_cloud(source: bytes | str, fmt: str) -> tuple[PointCloud, ParseSummary
     raise ValueError(f"unknown format {fmt!r} (expected 'pcd' or 'xyz')")
 
 
-def _parse_float_row(parts: list[str], lineno: int, width: int) -> list[float]:
-    if len(parts) < width:
-        raise ParseError(f"expected {width} columns, got {len(parts)}", line=lineno)
+def _data_lines(lines: list[str], start: int, skip_comments: bool):
+    """Non-blank lines of lines[start:] and their 1-based line numbers.
+
+    With skip_comments, lines whose first non-blank character is # are
+    left out too (XYZ comments; a PCD data section has none).
+    """
+    numbers = [
+        n for n, s in enumerate(map(str.lstrip, lines[start:]), start + 1)
+        if s and not (skip_comments and s[0] == "#")
+    ]
+    return [lines[n - 1] for n in numbers], np.array(numbers, dtype=np.int64)
+
+
+def _convert_rows(rows: list[list[str]], numbers: np.ndarray, width: int) -> np.ndarray:
+    """(len(rows), width) float64 array of each row's first width tokens.
+
+    Tokens go through Python's float, so its spellings (nan, inf, 1_0,
+    exponents) are accepted as before. The first row in file order that
+    is short or holds a bad token raises ParseError with that line.
+    """
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    short = np.flatnonzero(widths < width)
+    good = short[0] if len(short) else len(rows)
+    rows = rows[:good]
+    if (widths[:good] > width).any():
+        rows = [row[:width] for row in rows]
     try:
-        return [float(p) for p in parts[:width]]
-    except ValueError as exc:
-        raise ParseError(str(exc), line=lineno) from None
+        values = np.fromiter(map(float, chain.from_iterable(rows)),
+                             dtype=np.float64, count=good * width)
+    except ValueError:
+        for row, line in zip(rows, numbers.tolist()):
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=line) from None
+        raise
+    if good < len(widths):
+        raise ParseError(f"expected {width} columns, got {widths[good]}",
+                         line=int(numbers[good]))
+    return values.reshape(good, width)
 
 
-def _assemble(rows, extra_names, rejected, total):
-    if rows:
-        data = np.asarray(rows, dtype=np.float64)
-    else:
-        data = np.zeros((0, 3 + len(extra_names)))
+def _parse_data(lines: list[str], numbers: np.ndarray, width: int, extra_names):
+    """Parse data lines in chunks and drop rows with non-finite coordinates."""
+    data = np.empty((len(lines), width))
+    for a in range(0, len(lines), _CHUNK_ROWS):
+        b = a + _CHUNK_ROWS
+        data[a:b] = _convert_rows(list(map(str.split, lines[a:b])), numbers[a:b], width)
+    finite = np.isfinite(data[:, :3]).all(axis=1)
+    rejected = numbers[~finite].tolist()
+    if rejected:
+        data = data[finite]
     channels = {name: data[:, 3 + k] for k, name in enumerate(extra_names)}
     cloud = PointCloud(data[:, :3], channels)
-    return cloud, ParseSummary(total_rows=total, rejected_lines=rejected)
+    return cloud, ParseSummary(total_rows=len(lines), rejected_lines=rejected)
 
 
 def _parse_xyz(text: str):
-    rows, rejected = [], []
-    total = 0
-    width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if width is None:
-            width = len(parts)
-            if width < 3:
-                raise ParseError("XYZ rows need at least 3 columns", line=lineno)
-        total += 1
-        values = _parse_float_row(parts, lineno, width)
-        if not all(np.isfinite(values[:3])):
-            rejected.append(lineno)
-            continue
-        rows.append(values)
-    extra = [f"extra{k}" for k in range((width or 3) - 3)]
-    return _assemble(rows, extra, rejected, total)
+    lines, numbers = _data_lines(text.splitlines(), 0, skip_comments=True)
+    width = len(lines[0].split()) if lines else 3
+    if width < 3:
+        raise ParseError("XYZ rows need at least 3 columns", line=int(numbers[0]))
+    return _parse_data(lines, numbers, width, [f"extra{k}" for k in range(width - 3)])
 
 
 def _parse_pcd(text: str):
     lines = text.splitlines()
     header: dict[str, list[str]] = {}
+    header_lines: dict[str, int] = {}
     data_start = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -173,6 +212,7 @@ def _parse_pcd(text: str):
         if key not in _PCD_HEADER_ORDER:
             raise ParseError(f"unexpected header keyword {key!r}", line=lineno)
         header[key] = rest.split()
+        header_lines[key] = lineno
         if key == "DATA":
             if rest.strip().lower() != "ascii":
                 raise ParseError(f"only DATA ascii is supported, got {rest!r}", line=lineno)
@@ -187,6 +227,11 @@ def _parse_pcd(text: str):
     fields = header["FIELDS"]
     if fields[:3] != ["x", "y", "z"]:
         raise ParseError(f"FIELDS must start with x y z, got {fields}", line=data_start)
+    for key in ("SIZE", "TYPE", "COUNT"):
+        if key in header and len(header[key]) != len(fields):
+            raise ParseError(
+                f"{key} lists {len(header[key])} entries for {len(fields)} FIELDS",
+                line=header_lines[key])
     counts = header.get("COUNT", ["1"] * len(fields))
     if any(c != "1" for c in counts):
         raise ParseError("multi-count fields are not supported", line=data_start)
@@ -194,27 +239,38 @@ def _parse_pcd(text: str):
         declared = int(header["POINTS"][0])
     except (ValueError, IndexError):
         raise ParseError("POINTS must be an integer", line=data_start) from None
+    if "WIDTH" in header and "HEIGHT" in header:
+        shape = []
+        for key in ("WIDTH", "HEIGHT"):
+            try:
+                shape.append(int(header[key][0]))
+            except (ValueError, IndexError):
+                raise ParseError(f"{key} must be an integer", line=header_lines[key]) from None
+        width, height = shape
+        if width * height != declared:
+            raise ParseError(
+                f"WIDTH {width} x HEIGHT {height} does not equal POINTS {declared}",
+                line=header_lines["POINTS"])
 
-    rows, rejected = [], []
-    total = 0
-    for lineno, raw in enumerate(lines[data_start:], start=data_start + 1):
-        line = raw.strip()
-        if not line:
-            continue
-        total += 1
-        values = _parse_float_row(line.split(), lineno, len(fields))
-        if not all(np.isfinite(values[:3])):
-            rejected.append(lineno)
-            continue
-        rows.append(values)
-    if total != declared:
-        raise ParseError(f"POINTS declares {declared} rows but data has {total}")
-    return _assemble(rows, fields[3:], rejected, total)
+    data, numbers = _data_lines(lines, data_start, skip_comments=False)
+    result = _parse_data(data, numbers, len(fields), fields[3:])
+    if len(data) != declared:
+        raise ParseError(f"POINTS declares {declared} rows but data has {len(data)}",
+                         line=data_start)
+    return result
 
 
-def _fmt(x: float) -> str:
-    # repr of a float is the shortest string that round-trips exactly
-    return repr(float(x))
+def format_float_rows(columns) -> Iterator[str]:
+    """Text of equal-length float columns, one line per row, in row chunks.
+
+    Each value is written as repr of a Python float, the shortest string
+    that round-trips exactly; values are separated by one space and each
+    row ends in a newline. This is the float-text format of both cloud
+    and DEM files. A chunk holds up to _CHUNK_ROWS rows.
+    """
+    for a in range(0, len(columns[0]), _CHUNK_ROWS):
+        cells = [map(repr, col[a:a + _CHUNK_ROWS].tolist()) for col in columns]
+        yield "\n".join(map(" ".join, zip(*cells))) + "\n"
 
 
 def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
@@ -222,25 +278,22 @@ def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
 
     Coordinates and channel values are written with full round-trip
     precision, so parse_cloud(write_cloud(c)) reproduces them exactly.
+    A PCD channel name must be a non-empty word without whitespace, since
+    it becomes one entry of the FIELDS line.
     """
     fmt = fmt.lower()
-    names = list(cloud.channels)
-    columns = [cloud.points[:, 0], cloud.points[:, 1], cloud.points[:, 2]]
-    columns += [cloud.channels[n] for n in names]
-    body = "\n".join(
-        " ".join(_fmt(col[i]) for col in columns) for i in range(len(cloud))
-    )
-    if body:
-        body += "\n"
-    if fmt == "xyz":
-        return body.encode()
-    if fmt != "pcd":
+    if fmt not in ("pcd", "xyz"):
         raise ValueError(f"unknown format {fmt!r} (expected 'pcd' or 'xyz')")
-    n_fields = 3 + len(names)
-    header = "\n".join(
-        [
+    names = list(cloud.channels)
+    chunks = []
+    if fmt == "pcd":
+        for name in names:
+            if name.split() != [name]:
+                raise ValueError(f"channel name {name!r} is empty or contains whitespace")
+        n_fields = 3 + len(names)
+        chunks.append("\n".join([
             "VERSION .7",
-            "FIELDS x y z" + ("" if not names else " " + " ".join(names)),
+            " ".join(["FIELDS x y z", *names]),
             "SIZE" + " 8" * n_fields,
             "TYPE" + " F" * n_fields,
             "COUNT" + " 1" * n_fields,
@@ -248,10 +301,11 @@ def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
             "HEIGHT 1",
             "VIEWPOINT 0 0 0 1 0 0 0",
             f"POINTS {len(cloud)}",
-            "DATA ascii",
-        ]
-    )
-    return (header + "\n" + body).encode()
+            "DATA ascii\n",
+        ]).encode())
+    columns = [*cloud.points.T, *cloud.channels.values()]
+    chunks.extend(chunk.encode() for chunk in format_float_rows(columns))
+    return b"".join(chunks)
 
 
 def crop(cloud: PointCloud, box: CropBox) -> PointCloud:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, format_float_rows
 from .errors import EmptyInputError
 
 NODATA = -9999.0
@@ -261,6 +261,5 @@ def to_ascii_grid(dem: DemGrid) -> str:
         f"cellsize {dem.cell!r}",
         f"NODATA_value {NODATA!r}",
     ]
-    for row in range(nrows - 1, -1, -1):
-        lines.append(" ".join(repr(float(h)) for h in dem.heights[row]))
-    return "\n".join(lines) + "\n"
+    rows = format_float_rows(list(dem.heights[::-1].T))
+    return "\n".join(lines) + "\n" + "".join(rows)

@@ -6,6 +6,11 @@ spherical-quadrature realization of the ball vote as an integral of
 rotated stick votes, and a plain double-loop voting pass. The only
 shared primitive is np.add.reduceat, whose per-segment reduction is the
 pipeline's documented deterministic summation.
+
+The text cloud reader and writer here are the row-by-row and
+value-by-value forms of `parse_cloud` and `write_cloud`: one Python
+float conversion per token, one repr per value. The vectorised library
+paths must match them byte for byte and error for error.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from curbmap import ParseError, ParseSummary, PointCloud
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -132,3 +139,120 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 2] = -q[:, 2]
     return q
+
+
+_PCD_KEYWORDS = ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
+                 "WIDTH", "HEIGHT", "VIEWPOINT", "POINTS", "DATA")
+
+
+def reference_parse_cloud(source, fmt: str):
+    """Row-loop text parser: the reference for `parse_cloud`.
+
+    Lines are read in file order and each row's tokens are converted one
+    float at a time, so the first bad row raises. PCD header checks beyond
+    FIELDS, COUNT values and POINTS are not made here.
+    """
+    text = source.decode("utf-8", errors="replace") if isinstance(source, bytes) else source
+    lines = text.splitlines()
+    if fmt == "xyz":
+        rows, rejected, total, width = _reference_rows(lines, 0, None, skip_comments=True)
+        return _reference_assemble(rows, [f"extra{k}" for k in range((width or 3) - 3)],
+                                   rejected, total)
+    header, data_start = {}, None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, rest = line.partition(" ")
+        key = key.upper()
+        if key not in _PCD_KEYWORDS:
+            raise ParseError(f"unexpected header keyword {key!r}", line=lineno)
+        header[key] = rest.split()
+        if key == "DATA":
+            if rest.strip().lower() != "ascii":
+                raise ParseError(f"only DATA ascii is supported, got {rest!r}", line=lineno)
+            data_start = lineno
+            break
+    if data_start is None:
+        raise ParseError("missing DATA line", line=len(lines))
+    for required in ("FIELDS", "POINTS"):
+        if required not in header:
+            raise ParseError(f"missing {required} header", line=data_start)
+    fields = header["FIELDS"]
+    if fields[:3] != ["x", "y", "z"]:
+        raise ParseError(f"FIELDS must start with x y z, got {fields}", line=data_start)
+    if any(c != "1" for c in header.get("COUNT", [])):
+        raise ParseError("multi-count fields are not supported", line=data_start)
+    try:
+        declared = int(header["POINTS"][0])
+    except (ValueError, IndexError):
+        raise ParseError("POINTS must be an integer", line=data_start) from None
+    rows, rejected, total, _ = _reference_rows(lines, data_start, len(fields),
+                                               skip_comments=False)
+    if total != declared:
+        raise ParseError(f"POINTS declares {declared} rows but data has {total}",
+                         line=data_start)
+    return _reference_assemble(rows, fields[3:], rejected, total)
+
+
+def _reference_rows(lines, start, width, skip_comments):
+    rows, rejected, total = [], [], 0
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        line = raw.strip()
+        if not line or (skip_comments and line.startswith("#")):
+            continue
+        parts = line.split()
+        if width is None:
+            width = len(parts)
+            if width < 3:
+                raise ParseError("XYZ rows need at least 3 columns", line=lineno)
+        total += 1
+        if len(parts) < width:
+            raise ParseError(f"expected {width} columns, got {len(parts)}", line=lineno)
+        values = []
+        for part in parts[:width]:
+            try:
+                values.append(float(part))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        if all(math.isfinite(v) for v in values[:3]):
+            rows.append(values)
+        else:
+            rejected.append(lineno)
+    return rows, rejected, total, width
+
+
+def _reference_assemble(rows, extra_names, rejected, total):
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), 3 + len(extra_names))
+    channels = {name: data[:, 3 + k] for k, name in enumerate(extra_names)}
+    return PointCloud(data[:, :3], channels), ParseSummary(total, rejected)
+
+
+def reference_write_cloud(cloud: PointCloud, fmt: str) -> bytes:
+    """Value-by-value text writer: the reference for `write_cloud`.
+
+    Every value is written as repr(float(value)), values joined by one
+    space, rows ended by a newline; PCD adds the fixed 10-line header.
+    """
+    names = list(cloud.channels)
+    columns = [cloud.points[:, 0], cloud.points[:, 1], cloud.points[:, 2]]
+    columns += [cloud.channels[name] for name in names]
+    body = "".join(
+        " ".join(repr(float(col[i])) for col in columns) + "\n" for i in range(len(cloud))
+    )
+    if fmt == "xyz":
+        return body.encode()
+    n_fields = 3 + len(names)
+    header = [
+        "VERSION .7",
+        "FIELDS " + " ".join(["x", "y", "z", *names]),
+        "SIZE" + " 8" * n_fields,
+        "TYPE" + " F" * n_fields,
+        "COUNT" + " 1" * n_fields,
+        f"WIDTH {len(cloud)}",
+        "HEIGHT 1",
+        "VIEWPOINT 0 0 0 1 0 0 0",
+        f"POINTS {len(cloud)}",
+        "DATA ascii",
+    ]
+    return ("\n".join(header) + "\n" + body).encode()

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_parse_cloud, reference_write_cloud
 
 from curbmap import (ChannelMissingError, CropBox, ParseError, PointCloud, crop,
                      parse_cloud, write_cloud)
+from curbmap import cloud as cloud_module
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -39,6 +43,13 @@ class TestParseXyz:
         with pytest.raises(ParseError):
             parse_cloud("1 2 3\n4 5\n", "xyz")
 
+    def test_first_bad_row_in_file_order_raises(self):
+        # a bad token on line 2 comes before the short row on line 3
+        with pytest.raises(ParseError) as err:
+            parse_cloud("1 2 3\n4 x 6\n7 8\n", "xyz")
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: could not convert string to float: 'x'"
+
 
 PCD_3PT = """VERSION .7
 FIELDS x y z intensity
@@ -67,6 +78,30 @@ class TestParsePcd:
         bad = PCD_3PT.replace("POINTS 3", "POINTS 4")
         with pytest.raises(ParseError):
             parse_cloud(bad, "pcd")
+
+    def test_count_mismatch_names_data_line(self):
+        bad = PCD_3PT.replace("POINTS 3", "POINTS 4").replace("WIDTH 3", "WIDTH 4")
+        with pytest.raises(ParseError) as err:
+            parse_cloud(bad, "pcd")
+        assert err.value.line == 10
+        assert "POINTS declares 4 rows but data has 3" in str(err.value)
+
+    @pytest.mark.parametrize("key, line, good, bad", [
+        ("SIZE", 3, "SIZE 4 4 4 4", "SIZE 4"),
+        ("TYPE", 4, "TYPE F F F F", "TYPE F F F F F"),
+        ("COUNT", 5, "COUNT 1 1 1 1", "COUNT 1"),
+    ])
+    def test_field_list_length_mismatch_names_header_line(self, key, line, good, bad):
+        with pytest.raises(ParseError) as err:
+            parse_cloud(PCD_3PT.replace(good, bad), "pcd")
+        assert err.value.line == line
+        assert key in str(err.value)
+
+    def test_width_times_height_must_equal_points(self):
+        with pytest.raises(ParseError) as err:
+            parse_cloud(PCD_3PT.replace("WIDTH 3", "WIDTH 7"), "pcd")
+        assert err.value.line == 9
+        assert "WIDTH 7 x HEIGHT 1" in str(err.value)
 
     def test_bad_header_names_line(self):
         with pytest.raises(ParseError) as err:
@@ -113,6 +148,110 @@ class TestWriteCloud:
         cloud = make_cloud(np.array(rows, dtype=float).reshape(-1, 3))
         back, _ = parse_cloud(write_cloud(cloud, "xyz"), "xyz")
         assert np.array_equal(back.points, cloud.points)
+
+    @pytest.mark.parametrize("name", ["", "a b", "tab\tname", " lead"])
+    def test_unreadable_channel_name_rejected(self, name):
+        with pytest.raises(ValueError, match="whitespace"):
+            write_cloud(make_cloud([[1, 2, 3]], **{name: [0.5]}), "pcd")
+
+
+# Values whose shortest repr is easy to get wrong: signed zero, the
+# smallest subnormal, the switch points of repr's exponent notation and
+# the largest finite magnitudes.
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, 1e15, 1.7e308, -1.7e308, 0.1]
+coordinate = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL))
+channel_value = st.one_of(st.floats(), st.sampled_from(SPECIAL + [np.nan, np.inf, -np.inf]))
+chunk_rows = st.integers(1, 5)
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(0, 25))
+    names = draw(st.lists(st.text("abz_09", min_size=1, max_size=4), max_size=3, unique=True))
+    points = draw(st.lists(coordinate, min_size=3 * n, max_size=3 * n))
+    channels = {name: draw(st.lists(channel_value, min_size=n, max_size=n)) for name in names}
+    return make_cloud(np.array(points, dtype=float).reshape(n, 3), **channels)
+
+
+GOOD_TOKENS = ["0", "-0", "+3", ".5", "1_0", "1e5", "1E-3", "-2.25", "1e16", "5e-324"]
+NONFINITE_TOKENS = ["nan", "-inf", "inf", "NaN", "Infinity", "-nan"]
+BAD_TOKENS = ["x", "1..2", "0x10", "_1", "1e", "--1", "#"]
+good_token = st.one_of(st.sampled_from(GOOD_TOKENS),
+                       st.floats(allow_nan=False, allow_infinity=False).map(repr))
+separator = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def data_line(draw, width):
+    """One text line: mostly well-formed rows, sometimes a row with a defect."""
+    kind = draw(st.sampled_from(["row"] * 6 + ["extra", "short", "nonfinite", "bad",
+                                                "comment", "blank"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# comment", "  #x 1 2 3"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    n = {"extra": width + draw(st.integers(1, 2)), "short": draw(st.integers(1, width - 1))}
+    tokens = draw(st.lists(good_token, min_size=n.get(kind, width), max_size=n.get(kind, width)))
+    if kind in ("nonfinite", "bad"):
+        pool = NONFINITE_TOKENS if kind == "nonfinite" else BAD_TOKENS
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(pool))
+    seps = draw(st.lists(separator, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return draw(st.sampled_from(["", " ", "\t"])) + "".join(
+        t + s for t, s in zip(tokens, seps))
+
+
+def outcome(parse, source, fmt):
+    try:
+        cloud, summary = parse(source, fmt)
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    channels = [(name, values.tobytes()) for name, values in cloud.channels.items()]
+    return ("ok", cloud.points.tobytes(), channels, summary.total_rows,
+            summary.rejected_lines)
+
+
+class TestMatchesReference:
+    """The vectorised reader and writer against the row-loop reference."""
+
+    @given(clouds(), st.sampled_from(["xyz", "pcd"]), chunk_rows)
+    @settings(max_examples=150, deadline=None)
+    def test_write_bytes_equal_reference(self, cloud, fmt, chunk):
+        with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
+            assert write_cloud(cloud, fmt) == reference_write_cloud(cloud, fmt)
+
+    def test_write_special_values_equal_reference(self):
+        values = np.array(SPECIAL + [np.nan, np.inf, -np.inf])
+        cloud = make_cloud(np.resize(SPECIAL, (len(values), 3)), c0=values, c1=-values)
+        for fmt in ("xyz", "pcd"):
+            assert write_cloud(cloud, fmt) == reference_write_cloud(cloud, fmt)
+
+    @given(st.integers(3, 5), st.data(), st.sampled_from(["\n", "\r\n"]),
+           st.booleans(), chunk_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_xyz_matches_reference(self, width, data, eol, as_bytes, chunk):
+        lines = data.draw(st.lists(data_line(width), max_size=12))
+        text = "".join(line + eol for line in lines)
+        source = text.encode() if as_bytes else text
+        with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
+            got = outcome(parse_cloud, source, "xyz")
+        assert got == outcome(reference_parse_cloud, source, "xyz")
+
+    @given(st.integers(3, 5), st.data(), st.sampled_from(["\n", "\r\n"]), chunk_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_pcd_matches_reference(self, width, data, eol, chunk):
+        lines = data.draw(st.lists(data_line(width), max_size=12))
+        fields = ["x", "y", "z"] + [f"c{k}" for k in range(width - 3)]
+        rows = sum(1 for line in lines if line.strip())
+        header = [
+            "# written by hand", "VERSION .7", "FIELDS " + " ".join(fields),
+            "SIZE" + " 8" * width, "TYPE" + " F" * width, "COUNT" + " 1" * width,
+            f"WIDTH {rows}", "HEIGHT 1", "VIEWPOINT 0 0 0 1 0 0 0", f"POINTS {rows}",
+            "DATA ascii",
+        ]
+        text = "".join(line + eol for line in header + lines)
+        with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
+            got = outcome(parse_cloud, text, "pcd")
+        assert got == outcome(reference_parse_cloud, text, "pcd")
 
 
 class TestCropBox:
