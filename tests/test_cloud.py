@@ -190,8 +190,12 @@ def data_line(draw, width):
         return draw(st.sampled_from(["# comment", "  #x 1 2 3"]))
     if kind == "blank":
         return draw(st.sampled_from(["", "  ", "\t"]))
-    n = {"extra": width + draw(st.integers(1, 2)), "short": draw(st.integers(1, width - 1))}
-    tokens = draw(st.lists(good_token, min_size=n.get(kind, width), max_size=n.get(kind, width)))
+    size = width
+    if kind == "extra":
+        size = width + draw(st.integers(1, 2))
+    elif kind == "short":
+        size = draw(st.integers(1, width - 1))
+    tokens = draw(st.lists(good_token, min_size=size, max_size=size))
     if kind in ("nonfinite", "bad"):
         pool = NONFINITE_TOKENS if kind == "nonfinite" else BAD_TOKENS
         tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(pool))
