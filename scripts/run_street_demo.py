@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--threads", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--oracle", action="store_true",
-                    help="brute-force spatial queries (slow, for validation)")
+                    help="vote over every pair (slow, for validation)")
     args = ap.parse_args()
 
     out = Path(args.out)

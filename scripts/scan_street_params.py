@@ -13,9 +13,8 @@ import time
 import numpy as np
 
 from curbmap import (ClassifyParams, CurbParams, GroundParams, SceneSpec,
-                     VotingParams, build_height_grid, classify_cells,
-                     extract_ground_candidates, generate_scene, height_gate,
-                     outlier_removal, plate_candidates, refine_dem,
+                     VotingParams, classify_cells, generate_scene, ground_model,
+                     height_gate, outlier_removal, plate_candidates,
                      saliency_field, truth_grid)
 from curbmap.scene import TRUTH_CANOPY, curb_face_distance
 
@@ -24,11 +23,7 @@ def evaluate(cloud, spec, sigma, taus, threads):
     t0 = time.perf_counter()
     field = saliency_field(cloud, VotingParams(sigma=sigma), threads=threads)
     vote_s = time.perf_counter() - t0
-    gp = GroundParams()
-    ground_idx = extract_ground_candidates(field, gp)
-    dem = refine_dem(build_height_grid(field.points[ground_idx], gp.height_cell,
-                                       min_samples=gp.min_samples),
-                     gp.coarse_cell, gp.refined_cell, gp.consistency)
+    ground_idx, dem = ground_model(field, GroundParams())
     band = curb_face_distance(spec, field.points) <= 0.1
     truth = field.channel("truth")
     print(f"sigma={sigma}: vote+decompose {vote_s:.1f}s, "

@@ -12,20 +12,17 @@ from .config import PipelineConfig, default_config_text, parse_config, write_con
 from .curb import (CurbDetection, CurbParams, detect_curbs, height_gate,
                    outlier_removal, plate_candidates)
 from .dem import (DemGrid, GroundParams, build_height_grid,
-                  extract_ground_candidates, ground_height_at, ground_heights,
+                  extract_ground_candidates, ground_heights, ground_model,
                   refine_dem, to_ascii_grid)
 from .errors import (ChannelMissingError, CurbmapError, EmptyInputError,
-                     FormatError, FrameMismatchError, ParseError, PipelineError,
-                     ZeroDistanceError)
-from .neighbors import (UniformGridIndex, brute_force_neighbors, build_index,
-                        radius_neighbors)
+                     FormatError, FrameMismatchError, ParseError, PipelineError)
+from .neighbors import UniformGridIndex, build_index, radius_neighbors
 from .pipeline import PipelineResult, TimingReport, run_pipeline
 from .scene import SceneSpec, generate_scene, truth_grid
 from .semantic import (ClassifyParams, LABEL_COLORS, SemanticGrid, SemanticLabel,
                        TRAVERSABILITY, classify_cells, read_compact, render_raster,
                        write_compact)
-from .voting import (EigenDecomposition3, SaliencyRecord, VotingParams,
-                     attach_saliencies, ball_vote, decay, decompose, decompose_batch,
-                     encode, saliencies, saliency_field, saliency_record, sparse_vote)
+from .voting import (VotingParams, attach_saliencies, decay, decompose_batch,
+                     saliencies, saliency_field, sparse_vote)
 
 __version__ = "0.1.0"

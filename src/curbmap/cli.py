@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-raster", help="write the semantic raster (P6 pixmap) here")
     p.add_argument("--out-grid", help="write the compact semantic grid (SGRD) here")
     p.add_argument("--oracle", action="store_true",
-                   help="use brute-force spatial queries instead of the grid index")
+                   help="vote over every pair instead of the grid index (slow)")
     p.add_argument("--gen-scene", metavar="SPEC",
                    help="generate a synthetic scene from SPEC and write it to --out-cloud")
     p.add_argument("--write-default-config", action="store_true",

@@ -207,8 +207,8 @@ def _parse_pcd(text: str):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, rest = line.partition(" ")
-        key = key.upper()
+        key, *rest = line.split(None, 1)
+        key, rest = key.upper(), "".join(rest)
         if key not in _PCD_HEADER_ORDER:
             raise ParseError(f"unexpected header keyword {key!r}", line=lineno)
         header[key] = rest.split()

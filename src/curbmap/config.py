@@ -226,7 +226,7 @@ road_tolerance = 0.1
 
 [run]
 threads = 1
-# oracle = true switches spatial queries to the brute-force scan
+# oracle = true makes the vote examine every pair (slow; for validation)
 oracle = false
 # output paths; leave blank to skip an export
 out_cloud =

@@ -231,10 +231,17 @@ def refine_dem(height_grid: DemGrid, coarse_cell: float = 10.0,
     return DemGrid((x0, y0), float(refined_cell), out_h, out_n.astype(np.int64), out_valid)
 
 
-def ground_height_at(dem: DemGrid, x: float, y: float):
-    """Height of the enclosing cell, or None when unknown."""
-    heights, ok = ground_heights(dem, np.array([[x, y]]))
-    return float(heights[0]) if ok[0] else None
+def ground_model(cloud: PointCloud, params: GroundParams) -> tuple[np.ndarray, DemGrid]:
+    """The DEM stage: ground candidates, their height grid, the refined DEM.
+
+    Returns (ground_idx, refined). Raises EmptyInputError when no point
+    qualifies as ground or no height cell holds min_samples of them.
+    """
+    ground_idx = extract_ground_candidates(cloud, params)
+    height_grid = build_height_grid(cloud.points[ground_idx], params.height_cell,
+                                    min_samples=params.min_samples)
+    return ground_idx, refine_dem(height_grid, params.coarse_cell,
+                                  params.refined_cell, params.consistency)
 
 
 def ground_heights(dem: DemGrid, xy: np.ndarray):

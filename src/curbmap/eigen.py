@@ -43,15 +43,6 @@ def sym_to_matrices(t6: np.ndarray) -> np.ndarray:
     return m
 
 
-def matrices_to_sym(m: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) symmetric matrices -> (n, 6) component rows."""
-    m = np.asarray(m, dtype=np.float64)
-    return np.stack(
-        [m[..., 0, 0], m[..., 0, 1], m[..., 0, 2], m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]],
-        axis=-1,
-    )
-
-
 def _eigenvalues_closed_form(t6: np.ndarray):
     xx, xy, xz, yy, yz, zz = (t6[:, i] for i in range(6))
     tr = xx + yy + zz

@@ -23,10 +23,6 @@ class EmptyInputError(CurbmapError):
     """An operation that requires at least one point received none."""
 
 
-class ZeroDistanceError(CurbmapError):
-    """A pairwise vote was requested between coincident points."""
-
-
 class ChannelMissingError(CurbmapError):
     """A required per-point channel is absent from the cloud."""
 

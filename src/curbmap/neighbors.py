@@ -3,12 +3,11 @@
 The workhorse is a uniform grid hash: points are binned once into cells
 of a fixed size (by default the query radius, so any query touches at
 most 27 cells), and queries gather candidates from the surrounding cell
-block. A brute-force linear scan with the identical output contract is
-kept alongside as the validation oracle and as the `--oracle` execution
-path of the CLI.
+block. The brute-force linear scan with the same output contract lives
+in tests/oracles.py as the reference.
 
-Output contract shared by both paths: exactly the points with Euclidean
-distance <= radius (boundary inclusive), sorted by point index ascending.
+Output contract: exactly the points with Euclidean distance <= radius
+(boundary inclusive), sorted by point index ascending.
 The sorted order is what makes downstream floating-point accumulation
 deterministic.
 """
@@ -46,15 +45,6 @@ class UniformGridIndex:
     def cell_count(self) -> int:
         return len(self.cell_keys)
 
-    def cells(self) -> dict[tuple[int, int, int], np.ndarray]:
-        """Mapping from integer cell coordinates to point-index lists."""
-        out = {}
-        for slot in range(self.cell_count):
-            cx, cy, cz = self._decode(self.cell_keys[slot])
-            s = self.starts[slot]
-            out[(int(cx), int(cy), int(cz))] = self.order[s:s + self.counts[slot]]
-        return out
-
     def _decode(self, key):
         cz = key % self.dims[2]
         rem = key // self.dims[2]
@@ -65,9 +55,6 @@ class UniformGridIndex:
         ok = ((cc >= 0) & (cc < self.dims)).all(axis=1)
         keys = (cc[:, 0] * self.dims[1] + cc[:, 1]) * self.dims[2] + cc[:, 2]
         return keys, ok
-
-    def point_cells(self, points: np.ndarray) -> np.ndarray:
-        return np.floor((points - self.origin) / self.cell_size).astype(np.int64)
 
     def cell_points(self, slot: int) -> np.ndarray:
         """Point indices in cell `slot`, ascending."""
@@ -173,15 +160,3 @@ def radius_neighbors(index: UniformGridIndex, center, radius: float):
     keep = d2 <= radius * radius
     return cand[keep], np.sqrt(d2[keep])
 
-
-def brute_force_neighbors(cloud: PointCloud, center, radius: float):
-    """Linear-scan radius query with the same contract as radius_neighbors."""
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    center = np.asarray(center, dtype=np.float64)
-    if len(cloud) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    delta = cloud.points - center
-    d2 = delta[:, 0] ** 2 + delta[:, 1] ** 2 + delta[:, 2] ** 2
-    keep = np.flatnonzero(d2 <= radius * radius)
-    return keep, np.sqrt(d2[keep])

@@ -112,15 +112,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         clock.stop()
 
         clock.start("dem")
-        ground_idx = dem_mod.extract_ground_candidates(cloud, config.ground)
-        if len(ground_idx) == 0:
-            raise EmptyInputError("no ground candidates found")
-        height_grid = dem_mod.build_height_grid(
-            cloud.points[ground_idx], config.ground.height_cell,
-            min_samples=config.ground.min_samples)
-        refined = dem_mod.refine_dem(
-            height_grid, config.ground.coarse_cell,
-            config.ground.refined_cell, config.ground.consistency)
+        ground_idx, refined = dem_mod.ground_model(cloud, config.ground)
         clock.stop()
         report.counts["ground_candidates"] = len(ground_idx)
 

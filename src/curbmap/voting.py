@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import eigen
 from .cloud import PointCloud
-from .errors import EmptyInputError, ZeroDistanceError
+from .errors import EmptyInputError
 from .neighbors import UniformGridIndex, build_index
 
 # Default cutoff multiplier: decay drops below 1e-3 past sigma*sqrt(ln 1000).
@@ -75,29 +75,6 @@ class VotingParams:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
 
 
-@dataclass(frozen=True)
-class EigenDecomposition3:
-    """Sorted eigensystem of one symmetric 3x3 tensor.
-
-    eigenvalues: (3,) descending. eigenvectors: (3, 3), row k is the unit
-    eigenvector of eigenvalue k; rows are mutually orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class SaliencyRecord:
-    """Stick/plate/ball weights plus the two meaningful directions."""
-
-    stick: float
-    plate: float
-    ball: float
-    normal: np.ndarray    # leading eigenvector, surface normal estimate
-    tangent: np.ndarray   # trailing eigenvector, curve tangent estimate
-
-
 def decay(d, sigma: float):
     """Gaussian distance attenuation exp(-d^2 / sigma^2)."""
     if not sigma > 0:
@@ -105,28 +82,6 @@ def decay(d, sigma: float):
     d = np.asarray(d, dtype=np.float64)
     out = np.exp(-(d * d) / (sigma * sigma))
     return float(out) if out.ndim == 0 else out
-
-
-def encode(cloud: PointCloud) -> np.ndarray:
-    """Initial tensors: one unit ball (identity) per point, shape (n, 6)."""
-    if len(cloud) == 0:
-        raise EmptyInputError("cannot encode an empty cloud")
-    t6 = np.zeros((len(cloud), 6))
-    t6[:, (0, 3, 5)] = 1.0
-    return t6
-
-
-def ball_vote(receiver, voter, sigma: float) -> np.ndarray:
-    """Single ball vote as a full 3x3 matrix."""
-    receiver = np.asarray(receiver, dtype=np.float64)
-    voter = np.asarray(voter, dtype=np.float64)
-    delta = receiver - voter
-    d2 = float(delta[0] ** 2 + delta[1] ** 2 + delta[2] ** 2)
-    if d2 == 0.0:
-        raise ZeroDistanceError(f"coincident receiver and voter at {receiver}")
-    w = decay(math.sqrt(d2), sigma)
-    u = delta / math.sqrt(d2)
-    return w * (np.eye(3) - np.outer(u, u))
 
 
 def _reduce_block(rp, cp, r2: float, s2: float) -> np.ndarray:
@@ -278,15 +233,6 @@ def sparse_vote(
     return out
 
 
-def decompose(tensor) -> EigenDecomposition3:
-    """Eigendecompose one symmetric tensor ((6,) components or 3x3 matrix)."""
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.shape == (3, 3):
-        tensor = eigen.matrices_to_sym(tensor)
-    lam, vecs = eigen.eig3_batch(tensor.reshape(1, 6))
-    return EigenDecomposition3(lam[0], vecs[0])
-
-
 def decompose_batch(t6: np.ndarray):
     """Eigendecompose (n, 6) tensors. Returns (eigenvalues, eigenvectors)."""
     return eigen.eig3_batch(t6)
@@ -296,12 +242,6 @@ def saliencies(eigenvalues: np.ndarray):
     """Spectral gaps of descending eigenvalues: (stick, plate, ball)."""
     lam = np.asarray(eigenvalues)
     return lam[..., 0] - lam[..., 1], lam[..., 1] - lam[..., 2], lam[..., 2]
-
-
-def saliency_record(dec: EigenDecomposition3) -> SaliencyRecord:
-    stick, plate, ball = saliencies(dec.eigenvalues)
-    return SaliencyRecord(float(stick), float(plate), float(ball),
-                          dec.eigenvectors[0], dec.eigenvectors[2])
 
 
 def attach_saliencies(cloud: PointCloud, tensors: np.ndarray) -> PointCloud:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from curbmap import (CurbParams, GroundParams, SceneSpec, VotingParams,
-                     build_height_grid, extract_ground_candidates, generate_scene,
-                     refine_dem, saliency_field)
+from curbmap import (CurbParams, GroundParams, SceneSpec, VotingParams, generate_scene,
+                     ground_model, saliency_field)
 
 # street-scene operating point: thresholds are scene-relative and these
 # are the documented defaults for the synthetic street
@@ -33,10 +32,4 @@ def street_field(street_cloud):
 
 @pytest.fixture(scope="session")
 def street_dem(street_field):
-    params = GroundParams()
-    ground_idx = extract_ground_candidates(street_field, params)
-    height = build_height_grid(street_field.points[ground_idx], params.height_cell,
-                               min_samples=params.min_samples)
-    refined = refine_dem(height, params.coarse_cell, params.refined_cell,
-                         params.consistency)
-    return ground_idx, refined
+    return ground_model(street_field, GroundParams())

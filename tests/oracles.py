@@ -3,7 +3,8 @@
 Everything here is deliberately written against the math, not against
 the production code paths: a pivot-driven scalar Jacobi eigensolver, a
 spherical-quadrature realization of the ball vote as an integral of
-rotated stick votes, and a plain double-loop voting pass. The only
+rotated stick votes, a plain double-loop voting pass and a linear-scan
+radius query. The only
 shared primitive is np.add.reduceat, whose per-segment reduction is the
 pipeline's documented deterministic summation.
 
@@ -128,6 +129,32 @@ def double_loop_vote(points: np.ndarray, sigma: float, cutoff: float,
     return out
 
 
+def brute_force_neighbors(cloud: PointCloud, center, radius: float):
+    """Linear-scan radius query: the reference for `radius_neighbors`.
+
+    Returns (indices, distances) of every point within `radius`
+    (boundary inclusive), indices ascending.
+    """
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    center = np.asarray(center, dtype=np.float64)
+    if len(cloud) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    delta = cloud.points - center
+    d2 = delta[:, 0] ** 2 + delta[:, 1] ** 2 + delta[:, 2] ** 2
+    keep = np.flatnonzero(d2 <= radius * radius)
+    return keep, np.sqrt(d2[keep])
+
+
+def matrices_to_sym(m: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) symmetric matrices -> (n, 6) component rows."""
+    m = np.asarray(m, dtype=np.float64)
+    return np.stack(
+        [m[..., 0, 0], m[..., 0, 1], m[..., 0, 2], m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]],
+        axis=-1,
+    )
+
+
 def frobenius(matrix: np.ndarray) -> float:
     return float(np.sqrt((np.asarray(matrix) ** 2).sum()))
 
@@ -163,8 +190,8 @@ def reference_parse_cloud(source, fmt: str):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, rest = line.partition(" ")
-        key = key.upper()
+        key, *rest = line.split(None, 1)
+        key, rest = key.upper(), "".join(rest)
         if key not in _PCD_KEYWORDS:
             raise ParseError(f"unexpected header keyword {key!r}", line=lineno)
         header[key] = rest.split()

@@ -12,17 +12,16 @@ import pytest
 
 from curbmap import (ClassifyParams, PointCloud, SceneSpec, VotingParams,
                      build_height_grid, build_index, classify_cells, decay,
-                     decompose_batch, extract_ground_candidates, generate_scene,
-                     height_gate, outlier_removal, plate_candidates, read_compact,
-                     refine_dem, saliency_field, sparse_vote, truth_grid,
-                     write_compact)
-from curbmap.eigen import matrices_to_sym
+                     decompose_batch, generate_scene, ground_model, height_gate,
+                     outlier_removal, plate_candidates, read_compact,
+                     saliency_field, sparse_vote, truth_grid, write_compact)
+from curbmap.eigen import sym_to_matrices
 from curbmap.scene import TRUTH_CANOPY, _sample_grid, curb_face_distance
 from curbmap.semantic import SemanticGrid
-from curbmap.voting import ball_vote
 
 from conftest import STREET_CURB
-from oracles import ball_vote_quadrature, double_loop_vote, frobenius, jacobi_eigenvalues
+from oracles import (ball_vote_quadrature, double_loop_vote, frobenius,
+                     jacobi_eigenvalues, matrices_to_sym)
 
 
 def report(num, name, ok, detail):
@@ -79,7 +78,12 @@ class TestCriterion3BallVoteOracle:
             offset *= rng.uniform(0.1, 1.2) / np.linalg.norm(offset)
             receiver = voter + offset
             sigma = rng.uniform(0.2, 0.8)
-            closed = ball_vote(receiver, voter, sigma)
+            # the vote the production kernel gives the receiver; the cutoff
+            # exceeds the 1.2 m maximum offset
+            cloud = PointCloud(np.array([receiver, voter]))
+            params = VotingParams(sigma=sigma, cutoff=2.0, include_self=False)
+            t6 = sparse_vote(cloud, build_index(cloud, params.cutoff), params)
+            closed = sym_to_matrices(t6[:1])[0]
             integral = ball_vote_quadrature(receiver, voter, sigma)
             diff = closed / frobenius(closed) - integral / frobenius(integral)
             worst = max(worst, frobenius(diff))
@@ -209,13 +213,9 @@ class TestCriterion8DemAccuracy:
         from curbmap import GroundParams
 
         params = GroundParams()
-        candidates = extract_ground_candidates(field, params)
+        candidates, refined = ground_model(field, params)
         canopy_candidates = int(
             (field.channel("truth")[candidates] == TRUTH_CANOPY).sum())
-        height = build_height_grid(field.points[candidates], params.height_cell,
-                                   min_samples=params.min_samples)
-        refined = refine_dem(height, params.coarse_cell, params.refined_cell,
-                             params.consistency)
 
         rows, cols = np.nonzero(refined.valid)
         centers = np.column_stack([

@@ -108,6 +108,15 @@ class TestParsePcd:
             parse_cloud("VERSION .7\nBOGUS 1\n", "pcd")
         assert err.value.line == 2
 
+    def test_tab_separated_header(self):
+        text = PCD_3PT.replace("FIELDS ", "FIELDS\t").replace("DATA ascii", "DATA\tascii")
+        assert "FIELDS\tx y z" in text and "DATA\tascii" in text
+        cloud, summary = parse_cloud(text, "pcd")
+        expected, _ = parse_cloud(PCD_3PT, "pcd")
+        assert np.array_equal(cloud.points, expected.points)
+        assert np.array_equal(cloud.channels["intensity"], expected.channels["intensity"])
+        assert summary.total_rows == 3
+
     def test_binary_data_rejected(self):
         bad = PCD_3PT.replace("DATA ascii", "DATA binary")
         with pytest.raises(ParseError):
@@ -246,12 +255,16 @@ class TestMatchesReference:
         lines = data.draw(st.lists(data_line(width), max_size=12))
         fields = ["x", "y", "z"] + [f"c{k}" for k in range(width - 3)]
         rows = sum(1 for line in lines if line.strip())
-        header = [
-            "# written by hand", "VERSION .7", "FIELDS " + " ".join(fields),
-            "SIZE" + " 8" * width, "TYPE" + " F" * width, "COUNT" + " 1" * width,
-            f"WIDTH {rows}", "HEIGHT 1", "VIEWPOINT 0 0 0 1 0 0 0", f"POINTS {rows}",
-            "DATA ascii",
+        entries = [
+            ("VERSION", ".7"), ("FIELDS", " ".join(fields)), ("SIZE", " ".join(["8"] * width)),
+            ("TYPE", " ".join(["F"] * width)), ("COUNT", " ".join(["1"] * width)),
+            ("WIDTH", str(rows)), ("HEIGHT", "1"), ("VIEWPOINT", "0 0 0 1 0 0 0"),
+            ("POINTS", str(rows)), ("DATA", "ascii"),
         ]
+        seps = data.draw(st.lists(st.sampled_from([" ", "\t", " \t", "\t\t"]),
+                                  min_size=len(entries), max_size=len(entries)))
+        header = ["# written by hand"] + [key + sep + value
+                                          for (key, value), sep in zip(entries, seps)]
         text = "".join(line + eol for line in header + lines)
         with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
             got = outcome(parse_cloud, text, "pcd")

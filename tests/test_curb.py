@@ -3,8 +3,8 @@ import pytest
 
 from curbmap import (ChannelMissingError, CurbParams, GroundParams, PointCloud,
                      SceneSpec, VotingParams, build_height_grid, detect_curbs,
-                     extract_ground_candidates, generate_scene, height_gate,
-                     outlier_removal, plate_candidates, refine_dem, saliency_field)
+                     generate_scene, ground_model, height_gate, outlier_removal,
+                     plate_candidates, refine_dem, saliency_field)
 from curbmap.scene import _sample_grid, curb_face_distance
 
 
@@ -18,10 +18,7 @@ def flat_dem(rng, z=0.0, half=10.0):
 
 def scene_field(spec, sigma=0.3):
     field = saliency_field(generate_scene(spec), VotingParams(sigma=sigma), threads=2)
-    ground = GroundParams()
-    candidates = extract_ground_candidates(field, ground)
-    dem = refine_dem(build_height_grid(field.points[candidates], ground.height_cell,
-                                       min_samples=ground.min_samples))
+    _, dem = ground_model(field, GroundParams())
     return field, dem
 
 
@@ -210,13 +207,8 @@ class TestRigidMotionRobustness:
                         [0.0, 0.0, 1.0]])
         turned_cloud = PC(street_cloud.points @ rot.T, dict(street_cloud.channels))
         turned_field = saliency_field(turned_cloud, VotingParams(sigma=0.3), threads=2)
-        ground = GroundParams()
-        turned_ground = extract_ground_candidates(turned_field, ground)
-        turned_dem = refine_dem(
-            build_height_grid(turned_field.points[turned_ground], ground.height_cell,
-                              min_samples=ground.min_samples))
         turned_recall, turned_precision = metrics(turned_field,
-                                                  (turned_ground, turned_dem),
+                                                  ground_model(turned_field, GroundParams()),
                                                   street_cloud.points)
         assert abs(turned_recall - base_recall) < 0.02
         assert abs(turned_precision - base_precision) < 0.02

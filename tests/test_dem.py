@@ -3,7 +3,7 @@ import pytest
 
 from curbmap import (ChannelMissingError, EmptyInputError, GroundParams,
                      PointCloud, VotingParams, build_height_grid,
-                     extract_ground_candidates, ground_height_at, ground_heights,
+                     extract_ground_candidates, ground_heights,
                      refine_dem, saliency_field, to_ascii_grid)
 from curbmap.dem import NODATA
 from curbmap.scene import _sample_grid
@@ -163,17 +163,20 @@ class TestRefineDem:
 class TestGroundQueries:
     def test_known_cell(self, rng):
         dem = refine_dem(build_height_grid(flat_candidates(rng), 0.5))
-        assert abs(ground_height_at(dem, 0.0, 0.0) - 0.5) < 0.05
+        heights, known = ground_heights(dem, [[0.0, 0.0]])
+        assert known[0] and abs(heights[0] - 0.5) < 0.05
 
     def test_outside_extent_unknown(self, rng):
         dem = refine_dem(build_height_grid(flat_candidates(rng, half=2.0), 0.5))
-        assert ground_height_at(dem, 50.0, 50.0) is None
+        heights, known = ground_heights(dem, [[50.0, 50.0]])
+        assert not known[0] and heights[0] == NODATA
 
     def test_invalid_cell_unknown(self):
         points = np.tile(np.array([[0.25, 0.25, 1.0]]), (5, 1))
         far = np.tile(np.array([[10.25, 10.25, 1.0]]), (5, 1))
         dem = refine_dem(build_height_grid(np.concatenate([points, far]), 0.5), 10.0, 1.0, 0.3)
-        assert ground_height_at(dem, 5.0, 5.0) is None
+        heights, known = ground_heights(dem, [[5.0, 5.0]])
+        assert not known[0] and heights[0] == NODATA
 
 
 class TestAsciiExport:

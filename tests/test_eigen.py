@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curbmap import decompose, decompose_batch, saliencies
-from curbmap.eigen import matrices_to_sym, sym_to_matrices
+from curbmap import decompose_batch, saliencies
+from curbmap.eigen import sym_to_matrices
 
-from oracles import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues, matrices_to_sym
 
 component = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -24,26 +24,27 @@ def reconstruct(lam, vecs):
 
 class TestTrivialCases:
     def test_identity(self):
-        dec = decompose(np.eye(3))
-        assert np.allclose(dec.eigenvalues, [1, 1, 1], atol=1e-12)
-        stick, plate, ball = saliencies(dec.eigenvalues)
+        lam, _ = decompose_batch(np.array([[1.0, 0, 0, 1.0, 0, 1.0]]))
+        assert np.allclose(lam[0], [1, 1, 1], atol=1e-12)
+        stick, plate, ball = saliencies(lam[0])
         assert abs(stick) < 1e-12 and abs(plate) < 1e-12 and abs(ball - 1) < 1e-12
 
     def test_diagonal_321(self):
-        dec = decompose(np.diag([3.0, 2.0, 1.0]))
-        assert np.allclose(dec.eigenvalues, [3, 2, 1], atol=1e-12)
-        assert np.allclose(np.abs(dec.eigenvectors[0]), [1, 0, 0], atol=1e-12)
-        stick, plate, ball = saliencies(dec.eigenvalues)
+        lam, vecs = decompose_batch(np.array([[3.0, 0, 0, 2.0, 0, 1.0]]))
+        assert np.allclose(lam[0], [3, 2, 1], atol=1e-12)
+        assert np.allclose(np.abs(vecs[0, 0]), [1, 0, 0], atol=1e-12)
+        assert np.allclose(np.abs(vecs[0, 2]), [0, 0, 1], atol=1e-12)
+        stick, plate, ball = saliencies(lam[0])
         assert np.allclose([stick, plate, ball], [1, 1, 1], atol=1e-12)
 
     def test_zero_tensor(self):
-        dec = decompose(np.zeros(6))
-        assert np.allclose(dec.eigenvalues, 0.0)
-        assert np.allclose(dec.eigenvectors @ dec.eigenvectors.T, np.eye(3), atol=1e-12)
+        lam, vecs = decompose_batch(np.zeros((1, 6)))
+        assert np.allclose(lam[0], 0.0)
+        assert np.allclose(vecs[0] @ vecs[0].T, np.eye(3), atol=1e-12)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            decompose(np.array([np.inf, 0, 0, 1, 0, 1]))
+            decompose_batch(np.array([[np.inf, 0, 0, 1, 0, 1]]))
 
 
 class TestRandomBatch:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from curbmap import (PointCloud, brute_force_neighbors, build_index,
-                     radius_neighbors)
+from curbmap import PointCloud, build_index, radius_neighbors
+
+from oracles import brute_force_neighbors
 
 
 def cloud_of(points):
@@ -13,7 +14,7 @@ class TestBuildIndex:
     def test_empty_cloud_empty_index(self):
         index = build_index(cloud_of(np.zeros((0, 3))), 1.0)
         assert index.cell_count == 0
-        assert index.cells() == {}
+        assert len(index.order) == 0
 
     def test_two_far_points_two_cells(self):
         index = build_index(cloud_of([[0, 0, 0], [10, 0, 0]]), 1.0)
@@ -22,16 +23,20 @@ class TestBuildIndex:
     def test_every_point_in_exactly_one_cell(self, rng):
         points = rng.uniform(-5, 5, size=(10_000, 3))
         index = build_index(cloud_of(points), 0.7)
-        populations = np.concatenate(list(index.cells().values()))
+        populations = np.concatenate([index.cell_points(slot)
+                                      for slot in range(index.cell_count)])
         assert len(populations) == 10_000
         assert len(np.unique(populations)) == 10_000
 
     def test_cell_formula(self, rng):
         points = rng.uniform(-3, 3, size=(500, 3))
         index = build_index(cloud_of(points), 0.9)
-        for coords, members in index.cells().items():
-            expected = np.floor((points[members] - index.origin) / 0.9).astype(int)
-            assert (expected == np.asarray(coords)).all()
+        for slot in range(index.cell_count):
+            members = index.cell_points(slot)
+            cells = np.floor((points[members] - index.origin) / 0.9).astype(int)
+            cx, cy, cz = cells[0]
+            assert (cells == cells[0]).all()
+            assert (cx * index.dims[1] + cy) * index.dims[2] + cz == index.cell_keys[slot]
 
     def test_nonpositive_cell_size_rejected(self):
         with pytest.raises(ValueError):

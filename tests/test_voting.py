@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curbmap import (EmptyInputError, PointCloud, VotingParams, ZeroDistanceError,
-                     ball_vote, build_index, decay, decompose, decompose_batch,
-                     encode, saliencies, saliency_field, sparse_vote)
+from curbmap import (EmptyInputError, PointCloud, VotingParams, build_index, decay,
+                     decompose_batch, saliencies, saliency_field, sparse_vote)
 from curbmap import voting
+from curbmap.eigen import sym_to_matrices
 from curbmap.scene import _sample_grid
 from curbmap.voting import CUTOFF_SIGMAS
 
@@ -21,6 +21,13 @@ E_4 = 0.01831563888873418    # exp(-4)
 
 def cloud_of(points):
     return PointCloud(np.asarray(points, dtype=float))
+
+
+def pair_vote(receiver, voter, sigma):
+    """The 3x3 vote `receiver` gets from `voter`: sparse_vote on the pair alone."""
+    cloud = cloud_of([receiver, voter])
+    params = VotingParams(sigma=sigma, cutoff=100.0, include_self=False)
+    return sym_to_matrices(sparse_vote(cloud, build_index(cloud, 100.0), params)[:1])[0]
 
 
 class TestDecay:
@@ -58,11 +65,15 @@ class TestVotingParams:
 
 class TestEncode:
     def test_single_point_identity(self):
-        t6 = encode(cloud_of([[1, 2, 3]]))
+        t6 = sparse_vote(cloud_of([[1, 2, 3]]), None, VotingParams(sigma=1.0))
         assert np.array_equal(t6, [[1, 0, 0, 1, 0, 1]])
 
     def test_all_identity_eigenvalues(self, rng):
-        t6 = encode(cloud_of(rng.normal(size=(50, 3))))
+        # 50 points 10 m apart: no pair is within the cutoff, so each keeps
+        # only its unit ball encoding
+        points = np.arange(50)[:, None] * np.array([10.0, 0.0, 0.0])
+        points += rng.normal(0, 0.1, size=points.shape)
+        t6 = sparse_vote(cloud_of(points), None, VotingParams(sigma=0.3))
         lam, _ = decompose_batch(t6)
         assert np.allclose(lam, 1.0, atol=1e-12)
         stick, plate, ball = saliencies(lam)
@@ -70,21 +81,17 @@ class TestEncode:
         assert np.allclose(plate, 0, atol=1e-12)
         assert np.allclose(ball, 1, atol=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            encode(cloud_of(np.zeros((0, 3))))
-
 
 class TestBallVote:
     def test_unit_offset_closed_form(self):
-        vote = ball_vote((1, 0, 0), (0, 0, 0), 1.0)
+        vote = pair_vote((1, 0, 0), (0, 0, 0), 1.0)
         assert np.allclose(vote, E_INV * np.diag([0.0, 1.0, 1.0]), atol=1e-12)
 
     def test_null_direction_along_offset(self, rng):
         for _ in range(25):
             receiver = rng.normal(size=3)
             voter = rng.normal(size=3)
-            vote = ball_vote(receiver, voter, 0.8)
+            vote = pair_vote(receiver, voter, 0.8)
             lam, vecs = np.linalg.eigh(vote)
             null_dir = vecs[:, 0]
             radial = (receiver - voter) / np.linalg.norm(receiver - voter)
@@ -92,15 +99,11 @@ class TestBallVote:
             assert abs(lam[0]) < 1e-12
             assert abs(lam[1] - lam[2]) < 1e-12
 
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ZeroDistanceError):
-            ball_vote((1, 1, 1), (1, 1, 1), 0.5)
-
     def test_quadrature_oracle_proportional(self, rng):
         for _ in range(5):
             receiver = rng.normal(size=3)
             voter = receiver + rng.normal(size=3) * 0.4
-            closed = ball_vote(receiver, voter, 0.5)
+            closed = pair_vote(receiver, voter, 0.5)
             integral = ball_vote_quadrature(receiver, voter, 0.5)
             diff = closed / frobenius(closed) - integral / frobenius(integral)
             assert frobenius(diff) < 0.02
@@ -354,21 +357,3 @@ class TestSaliencyField:
         with pytest.raises(EmptyInputError):
             saliency_field(cloud_of(np.zeros((0, 3))), VotingParams())
 
-
-class TestDecomposeApi:
-    def test_accepts_matrix_and_components(self):
-        mat = np.diag([2.0, 1.0, 0.5])
-        from_mat = decompose(mat)
-        from_parts = decompose(np.array([2.0, 0, 0, 1.0, 0, 0.5]))
-        assert np.array_equal(from_mat.eigenvalues, from_parts.eigenvalues)
-
-    def test_saliency_record_directions(self):
-        from curbmap import saliency_record
-
-        dec = decompose(np.diag([3.0, 2.0, 1.0]))
-        rec = saliency_record(dec)
-        assert np.allclose([rec.stick, rec.plate, rec.ball], 1.0, atol=1e-12)
-        assert np.allclose(np.abs(rec.normal), [1, 0, 0], atol=1e-12)
-        assert np.allclose(np.abs(rec.tangent), [0, 0, 1], atol=1e-12)
-        gram = dec.eigenvectors @ dec.eigenvectors.T
-        assert np.allclose(gram, np.eye(3), atol=1e-12)
