@@ -11,9 +11,15 @@ Python frame runs per value: the data lines are split with str.split,
 row widths are checked with numpy, every token of the chunk goes through
 one map(float, ...) (Python's float spellings, nan and 1_0 included) and
 the values are reshaped, after which a numpy mask drops the rows with a
-non-finite coordinate. The writer formats column slices with
-map(repr, ...) and joins each row with zip and " ".join; repr of a float
-is the shortest text that reads back to the same value.
+non-finite coordinate.
+
+The writer emits the bytes repr would give for every float, the
+shortest text that reads back to the same value, without calling repr:
+per chunk of rows, _shortest_digits runs the Schubfach algorithm on the
+whole chunk in uint64 arithmetic, and _float_text lays the digits out in
+repr's notation by gathering each value's ASCII bytes through a table of
+layouts. tests/oracles.py keeps the one-repr-per-value writer as the
+reference.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ _PCD_HEADER_ORDER = (
     "VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
     "WIDTH", "HEIGHT", "VIEWPOINT", "POINTS", "DATA",
 )
-# Rows per chunk of the text reader and writer: bounds the token and
-# string objects alive at once.
-_CHUNK_ROWS = 1024
+# Rows per chunk of the text reader and writer: bounds the token strings
+# and the writer's arrays alive at once (about 2 MB for 12 columns).
+_CHUNK_ROWS = 512
 
 
 @dataclass
@@ -260,17 +266,212 @@ def _parse_pcd(text: str):
     return result
 
 
-def format_float_rows(columns) -> Iterator[str]:
-    """Text of equal-length float columns, one line per row, in row chunks.
+# Shortest round-trip digits of a double (Schubfach: R. Giulietti, "The
+# Schubfach way to render doubles", 2020), vectorised after A. Bolz's
+# schubfach_64 ToDecimal64 with every step in uint64 arithmetic: uint64
+# mixed with an int64 array would promote to float64, and the 128-bit
+# limb products rely on uint64 wrap-around.
+_POW10_MIN, _POW10_MAX = -292, 324
+_MASK32 = 0xFFFFFFFF
 
-    Each value is written as repr of a Python float, the shortest string
-    that round-trips exactly; values are separated by one space and each
-    row ends in a newline. This is the float-text format of both cloud
-    and DEM files. A chunk holds up to _CHUNK_ROWS rows.
+
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+    """High and low uint64 halves of g(e) for e in [_POW10_MIN, _POW10_MAX].
+
+    g(e) = ceil(10^e / 2^(floor(log2 10^e) + 1 - 128)), a 128-bit integer
+    in [2^127, 2^128).
+    """
+    table = []
+    for e in range(_POW10_MIN, _POW10_MAX + 1):
+        p = 10 ** abs(e)
+        if e >= 0:
+            r = p.bit_length() - 128
+            table.append(p << -r if r < 0 else -(-p >> r))
+        else:  # 10^-e is never a power of two, so floor(log2 10^e) = -bit_length
+            table.append(-(-(1 << (127 + p.bit_length())) // p))
+    return (np.array([g >> 64 for g in table], dtype=np.uint64),
+            np.array([g & 0xFFFFFFFFFFFFFFFF for g in table], dtype=np.uint64))
+
+
+_POW10_HI, _POW10_LO = _pow10_table()
+
+
+def _mul_128(a0, a1, b0, b1):
+    """High and low uint64 words of a * b, both given as 32-bit limbs."""
+    p00 = a0 * b0
+    p01 = a0 * b1
+    p10 = a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return hi, (mid << 32) | (p00 & _MASK32)
+
+
+def _round_to_odd(g, cp):
+    """floor(cp * g / 2^128), its lowest bit set if the 64 bits below exceed 1."""
+    a0, a1 = cp & _MASK32, cp >> 32
+    x_hi, _ = _mul_128(a0, a1, *g[2:])
+    y1, y0 = _mul_128(a0, a1, *g[:2])
+    y0 += x_hi
+    y1 += y0 < x_hi
+    return y1 | (y0 > 1)
+
+
+def _scaled_interval(c, q, closer):
+    """Round-to-odd of 4·v·10^-k and of its rounding interval's bounds, and k.
+
+    v = c·2^q and k = floor(log10 2^q), or floor(log10 3/4·2^q) where
+    closer marks a lower neighbour half as far away as the upper one.
+    """
+    k = (q * 1262611 - closer * 524031) >> 22
+    h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint64)
+    g_hi, g_lo = _POW10_HI[-k - _POW10_MIN], _POW10_LO[-k - _POW10_MIN]
+    g = (g_hi & _MASK32, g_hi >> 32, g_lo & _MASK32, g_lo >> 32)
+    cb = c << 2
+    return (_round_to_odd(g, (cb - 2 + closer) << h), _round_to_odd(g, cb << h),
+            _round_to_odd(g, (cb + 2) << h), k)
+
+
+def _shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest round-trip decimal (digits, exponent) of positive doubles.
+
+    bits holds the uint64 patterns of finite, non-zero, positive doubles.
+    Returns uint64 digits without trailing zeros and int64 exponents e,
+    the value being digits * 10^e, as repr would spell it.
+    """
+    fraction = bits & ((1 << 52) - 1)
+    biased = (bits >> 52).astype(np.int64)
+    c = np.where(biased != 0, fraction | (1 << 52), fraction)
+    vbl, vb, vbr, k = _scaled_interval(c, np.maximum(biased, 1) - 1075,
+                                       (fraction == 0) & (biased > 1))
+    odd = c & 1
+    lower, upper = vbl + odd, vbr - odd
+    s = vb >> 2
+    sp = s // 10
+    up_inside = lower <= 40 * sp
+    wp_inside = 40 * sp + 40 <= upper
+    use_sp = (s >= 10) & (up_inside != wp_inside)
+    u_inside = lower <= s << 2
+    w_inside = (s << 2) + 4 <= upper
+    mid = (s << 2) + 2
+    round_up = (vb > mid) | ((vb == mid) & (s & 1 == 1))
+    digits = np.where(use_sp, sp + wp_inside,
+                      s + np.where(u_inside != w_inside, w_inside, round_up))
+    exponent = k + use_sp
+    zeros = np.flatnonzero(digits % 10 == 0)
+    if len(zeros):
+        d, e = digits[zeros], exponent[zeros]
+        for n in (16, 8, 4, 2, 1):
+            strip = d % 10 ** n == 0
+            d = np.where(strip, d // 10 ** n, d)
+            e += strip * n
+        digits[zeros], exponent[zeros] = d, e
+    return digits, exponent
+
+
+# A value's text is gathered from its 36-byte alphabet row: the digits
+# zero-padded to 20 places, the exponent's magnitude to 4, the separator
+# after the value, then constant characters. Each layout lists the
+# alphabet positions of one kind of text, and its unused places hold
+# _UNUSED. Keys number the layouts: fixed notation by (sign, digit count,
+# decimal point position -3..16), then exponent notation by (sign, digit
+# count, exponent sign, whether the exponent has three digits), then
+# inf, -inf and nan.
+_SEP, _POINT, _MINUS, _E, _PLUS, _N, _A, _I, _F, _UNUSED = 24, 25, 26, 27, 28, 29, 30, 31, 32, 35
+_ZERO = 0  # the first of 20 zero-padded places holds "0", as digits < 10^17
+_CONSTANTS = np.frombuffer(b" .-e+naif\0\0\0", dtype=np.uint32)  # from _SEP on
+_DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+            ).astype(np.uint8).view(np.uint32).ravel()  # "0000" ... "9999"
+_DIGIT_BOUNDS = 10 ** np.arange(1, 18, dtype=np.uint64)  # d has 1 + #{bounds <= d} digits
+_EXPONENT_KEY = 2 * 17 * 20
+_INF_KEY = _EXPONENT_KEY + 2 * 17 * 2 * 2
+_NAN_KEY = _INF_KEY + 2
+_WIDTH = 25  # "-1.2345678901234567e-308" and its separator
+
+
+def _layouts() -> np.ndarray:
+    layouts = []
+    for neg in (0, 1):
+        for nd in range(1, 18):
+            digits = list(range(20 - nd, 20))
+            for point in range(-3, 17):
+                if point <= 0:
+                    text = [_ZERO, _POINT] + [_ZERO] * -point + digits
+                elif point < nd:
+                    text = digits[:point] + [_POINT] + digits[point:]
+                else:
+                    text = digits + [_ZERO] * (point - nd) + [_POINT, _ZERO]
+                layouts.append([_MINUS] * neg + text)
+    for neg in (0, 1):
+        for nd in range(1, 18):
+            digits = list(range(20 - nd, 20))
+            mantissa = digits[:1] + ([_POINT] + digits[1:] if nd > 1 else [])
+            for exp_sign in (_PLUS, _MINUS):
+                for exp_digits in ([22, 23], [21, 22, 23]):
+                    layouts.append([_MINUS] * neg + mantissa + [_E, exp_sign] + exp_digits)
+    layouts += [[_I, _N, _F], [_MINUS, _I, _N, _F], [_N, _A, _N]]
+    table = np.full((len(layouts), _WIDTH), _UNUSED, dtype=np.uint8)
+    for key, text in enumerate(layouts):
+        table[key, :len(text) + 1] = text + [_SEP]
+    return table
+
+
+_LAYOUTS = _layouts()
+_LENGTHS = np.count_nonzero(_LAYOUTS != _UNUSED, axis=1)
+
+
+def _float_text(values: np.ndarray, ncols: int) -> bytes:
+    """ASCII text of row-major float64 values, ncols per row, as repr spells them."""
+    bits = values.view(np.uint64)
+    neg = (bits >> 63).astype(np.int64)
+    magnitude = bits & 0x7FFFFFFFFFFFFFFF
+    regular = magnitude - 1 < 0x7FEFFFFFFFFFFFFF  # finite and non-zero
+    # 1.0 stands in for the others; zero then reads "0.0" with digits 0
+    digits, exponent = _shortest_digits(np.where(regular, magnitude, 0x3FF0000000000000))
+    digits[magnitude == 0] = 0
+    nd = np.searchsorted(_DIGIT_BOUNDS, digits, side="right") + 1
+    point = nd + exponent
+    exp = point - 1
+    signed = neg * 17 + nd - 1
+    key = np.where((point <= -4) | (point > 16),
+                   _EXPONENT_KEY + (signed * 2 + (exp < 0)) * 2 + (np.abs(exp) >= 100),
+                   signed * 20 + point + 3)
+    special = magnitude >= 0x7FF0000000000000
+    key[special] = np.where(magnitude[special] > 0x7FF0000000000000,
+                            _NAN_KEY, _INF_KEY + neg[special])
+    alphabet = np.empty((len(values), 9), dtype=np.uint32)
+    high = digits // 100000000
+    low = (digits - high * 100000000).astype(np.uint32)
+    top = (high // 100000000).astype(np.uint32)
+    middle = high.astype(np.uint32) - top * 100000000
+    alphabet[:, 0] = _DIGITS4[top]
+    alphabet[:, 1] = _DIGITS4[middle // 10000]
+    alphabet[:, 2] = _DIGITS4[middle % 10000]
+    alphabet[:, 3] = _DIGITS4[low // 10000]
+    alphabet[:, 4] = _DIGITS4[low % 10000]
+    alphabet[:, 5] = _DIGITS4[np.abs(exp)]
+    alphabet[:, 6:] = _CONSTANTS
+    letters = alphabet.view(np.uint8)
+    letters[ncols - 1::ncols, _SEP] = ord("\n")
+    layout = _LAYOUTS[key]
+    index = np.repeat(np.arange(0, letters.size, letters.shape[1]), _LENGTHS[key])
+    index += layout[layout != _UNUSED]
+    return letters.ravel().take(index).tobytes()
+
+
+def format_float_rows(columns) -> Iterator[bytes]:
+    """ASCII text of equal-length float columns, one line per row, in row chunks.
+
+    Each value is written as repr of a Python float writes it: the
+    shortest digits that read back to the same double, in exponent
+    notation below 1e-4 and from 1e16 on, in fixed notation otherwise;
+    "inf", "-inf" and "nan" (no sign) for the special values. Values are
+    separated by one space and each row ends in a newline. This is the
+    float-text format of both cloud and DEM files. A chunk holds up to
+    _CHUNK_ROWS rows.
     """
     for a in range(0, len(columns[0]), _CHUNK_ROWS):
-        cells = [map(repr, col[a:a + _CHUNK_ROWS].tolist()) for col in columns]
-        yield "\n".join(map(" ".join, zip(*cells))) + "\n"
+        chunk = np.stack([col[a:a + _CHUNK_ROWS] for col in columns], axis=1)
+        yield _float_text(chunk.astype(np.float64, copy=False).ravel(), len(columns))
 
 
 def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
@@ -303,8 +504,7 @@ def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
             f"POINTS {len(cloud)}",
             "DATA ascii\n",
         ]).encode())
-    columns = [*cloud.points.T, *cloud.channels.values()]
-    chunks.extend(chunk.encode() for chunk in format_float_rows(columns))
+    chunks.extend(format_float_rows([*cloud.points.T, *cloud.channels.values()]))
     return b"".join(chunks)
 
 

@@ -268,5 +268,5 @@ def to_ascii_grid(dem: DemGrid) -> str:
         f"cellsize {dem.cell!r}",
         f"NODATA_value {NODATA!r}",
     ]
-    rows = format_float_rows(list(dem.heights[::-1].T))
-    return "\n".join(lines) + "\n" + "".join(rows)
+    rows = b"".join(format_float_rows(list(dem.heights[::-1].T)))
+    return "\n".join(lines) + "\n" + rows.decode("ascii")

@@ -9,9 +9,10 @@ shared primitive is np.add.reduceat, whose per-segment reduction is the
 pipeline's documented deterministic summation.
 
 The text cloud reader and writer here are the row-by-row and
-value-by-value forms of `parse_cloud` and `write_cloud`: one Python
-float conversion per token, one repr per value. The vectorised library
-paths must match them byte for byte and error for error.
+value-by-value forms of `parse_cloud`, `write_cloud` and
+`format_float_rows`: one Python float conversion per token, one repr
+per value. The vectorised library paths must match them byte for byte
+and error for error.
 """
 
 from __future__ import annotations
@@ -255,20 +256,29 @@ def _reference_assemble(rows, extra_names, rejected, total):
     return PointCloud(data[:, :3], channels), ParseSummary(total, rejected)
 
 
+def reference_format_float_rows(columns) -> bytes:
+    """Value-by-value float text: the reference for `format_float_rows`.
+
+    Every value is written as repr(float(value)), values joined by one
+    space, rows ended by a newline.
+    """
+    rows = range(len(columns[0]))
+    return "".join(" ".join(repr(float(col[i])) for col in columns) + "\n"
+                   for i in rows).encode()
+
+
 def reference_write_cloud(cloud: PointCloud, fmt: str) -> bytes:
     """Value-by-value text writer: the reference for `write_cloud`.
 
-    Every value is written as repr(float(value)), values joined by one
-    space, rows ended by a newline; PCD adds the fixed 10-line header.
+    The body is `reference_format_float_rows` of x, y, z and the
+    channels; PCD adds the fixed 10-line header.
     """
     names = list(cloud.channels)
     columns = [cloud.points[:, 0], cloud.points[:, 1], cloud.points[:, 2]]
     columns += [cloud.channels[name] for name in names]
-    body = "".join(
-        " ".join(repr(float(col[i])) for col in columns) + "\n" for i in range(len(cloud))
-    )
+    body = reference_format_float_rows(columns)
     if fmt == "xyz":
-        return body.encode()
+        return body
     n_fields = 3 + len(names)
     header = [
         "VERSION .7",
@@ -282,4 +292,4 @@ def reference_write_cloud(cloud: PointCloud, fmt: str) -> bytes:
         f"POINTS {len(cloud)}",
         "DATA ascii",
     ]
-    return ("\n".join(header) + "\n" + body).encode()
+    return ("\n".join(header) + "\n").encode() + body

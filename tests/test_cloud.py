@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_parse_cloud, reference_write_cloud
+from oracles import reference_format_float_rows, reference_parse_cloud, reference_write_cloud
 
 from curbmap import (ChannelMissingError, CropBox, ParseError, PointCloud, crop,
                      parse_cloud, write_cloud)
 from curbmap import cloud as cloud_module
+from curbmap.cloud import format_float_rows
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -269,6 +270,85 @@ class TestMatchesReference:
         with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
             got = outcome(parse_cloud, text, "pcd")
         assert got == outcome(reference_parse_cloud, text, "pcd")
+
+
+def bits_to_double(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+any_double = st.one_of(st.integers(0, 2**64 - 1).map(bits_to_double), st.floats())
+
+
+def assert_matches_repr(values, ncols):
+    """format_float_rows of values in rows of ncols against one repr per value."""
+    values = np.asarray(values, dtype=np.float64)
+    columns = list(values[:len(values) // ncols * ncols].reshape(-1, ncols).T)
+    got = b"".join(format_float_rows(columns)).split(b"\n")
+    want = reference_format_float_rows(columns).split(b"\n")
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:3] == []
+
+
+def float_text_sweep() -> np.ndarray:
+    """Doubles where the shortest digits or repr's layout are easy to get wrong.
+
+    Every power of two and of ten a double can hold and both neighbours
+    of each: subnormals, 2^53 - 1 and 2^53 + 2, the notation switches at
+    1e16 and 1e-4, two- and three-digit exponents. Then the largest
+    double, signed zeros, infinities and NaNs of both signs.
+    """
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{e}") for e in range(-323, 309)]])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                             [1.7976931348623157e308, 0.0, np.inf, np.nan,
+                              bits_to_double(0x7FF8000000000001)]])
+    return np.concatenate([values, -values])
+
+
+class TestFloatText:
+    """The shortest round-trip float kernel against repr, value by value."""
+
+    @given(st.integers(1, 13), st.data(), chunk_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_repr_property(self, ncols, data, chunk):
+        values = data.draw(st.lists(any_double, min_size=ncols, max_size=12 * ncols))
+        with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
+            assert_matches_repr(values, ncols)
+
+    @pytest.mark.parametrize("ncols", [1, 7])
+    def test_matches_repr_sweep(self, ncols):
+        assert_matches_repr(float_text_sweep(), ncols)
+
+    def test_matches_repr_random_bits(self):
+        bits = np.random.default_rng(7).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        assert_matches_repr(bits.view(np.float64), 5)
+
+    def test_yields_ascii_bytes(self):
+        chunks = list(format_float_rows([np.array([1.5, -2.0]), np.array([np.nan, 1e300])]))
+        assert chunks == [b"1.5 nan\n-2.0 1e+300\n"]
+
+
+HEADER_WORDS = ["VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH", "HEIGHT",
+                "VIEWPOINT", "POINTS", "DATA", "ascii", "binary", "x", "y", "z", "F", "#"]
+fuzz_text = st.lists(st.one_of(
+    st.sampled_from(HEADER_WORDS + GOOD_TOKENS + NONFINITE_TOKENS + BAD_TOKENS),
+    st.integers(-2, 5).map(str), st.floats().map(repr),
+    st.sampled_from([" ", "\t", "\n", "\r\n", "\x00", "\u00e9"]),
+), max_size=60).map("".join)
+
+
+class TestParseFuzz:
+    """Any input either parses or raises ParseError, in both formats."""
+
+    @given(st.one_of(st.binary(max_size=200), fuzz_text, fuzz_text.map(str.encode)),
+           st.sampled_from(["xyz", "pcd"]))
+    @settings(max_examples=500, deadline=None)
+    def test_parses_or_raises_parse_error(self, source, fmt):
+        try:
+            cloud, summary = parse_cloud(source, fmt)
+        except ParseError:
+            return
+        assert summary.total_rows == len(cloud) + summary.rejected
 
 
 class TestCropBox:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curbmap import (ChannelMissingError, EmptyInputError, GroundParams,
+from curbmap import (ChannelMissingError, DemGrid, EmptyInputError, GroundParams,
                      PointCloud, VotingParams, build_height_grid,
                      extract_ground_candidates, ground_heights,
                      refine_dem, saliency_field, to_ascii_grid)
@@ -188,3 +188,15 @@ class TestAsciiExport:
         assert lines[1] == "nrows 1"
         assert "cellsize 0.5" in lines[4]
         assert float(lines[6]) == 2.0
+
+    def test_grid_text_matches_repr_top_row_first(self):
+        heights = np.array([[0.5, NODATA, -1.25, 1e-05],
+                            [NODATA, -0.001, 2.5e20, 3.0],
+                            [-7e-07, 12.345678901234567, NODATA, -0.0]])
+        valid = heights != NODATA
+        grid = DemGrid((-1.5, 2.25), 0.5, heights, valid.astype(np.int64), valid)
+        header = ("ncols 4\nnrows 3\nxllcorner -1.5\nyllcorner 2.25\ncellsize 0.5\n"
+                  "NODATA_value -9999.0\n")
+        rows = "".join(" ".join(map(repr, row)) + "\n" for row in heights[::-1].tolist())
+        assert rows.startswith("-7e-07 12.345678901234567 -9999.0 -0.0\n")
+        assert to_ascii_grid(grid) == header + rows
