@@ -26,8 +26,6 @@ def main():
     ap.add_argument("--out", default="street_out", help="output directory")
     ap.add_argument("--threads", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--oracle", action="store_true",
-                    help="vote over every pair (slow, for validation)")
     args = ap.parse_args()
 
     out = Path(args.out)
@@ -40,7 +38,6 @@ def main():
     config = PipelineConfig(
         curb=CurbParams(plate_threshold=0.35, outlier_min_neighbors=5),
         threads=args.threads,
-        oracle=args.oracle,
         out_cloud=str(out / "street_labeled.xyz"),
         out_dem=str(out / "street_dem.asc"),
         out_raster=str(out / "street_map.ppm"),

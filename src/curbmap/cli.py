@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dem", help="write the refined DEM (ASCII grid) here")
     p.add_argument("--out-raster", help="write the semantic raster (P6 pixmap) here")
     p.add_argument("--out-grid", help="write the compact semantic grid (SGRD) here")
-    p.add_argument("--oracle", action="store_true",
-                   help="vote over every pair instead of the grid index (slow)")
     p.add_argument("--gen-scene", metavar="SPEC",
                    help="generate a synthetic scene from SPEC and write it to --out-cloud")
     p.add_argument("--write-default-config", action="store_true",
@@ -90,8 +88,6 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
             sigma=args.sigma, include_self=config.voting.include_self)
     if args.threads is not None:
         updates["threads"] = args.threads
-    if args.oracle:
-        updates["oracle"] = True
     for flag in ("out_cloud", "out_dem", "out_raster", "out_grid"):
         value = getattr(args, flag)
         if value:

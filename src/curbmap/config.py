@@ -30,7 +30,6 @@ class PipelineConfig:
     curb: CurbParams = field(default_factory=CurbParams)
     classify: ClassifyParams = field(default_factory=ClassifyParams)
     threads: int = 1
-    oracle: bool = False
     out_cloud: str = ""
     out_dem: str = ""
     out_raster: str = ""
@@ -95,7 +94,6 @@ def write_config(config: PipelineConfig) -> str:
     }
     cp["run"] = {
         "threads": _fmt(config.threads),
-        "oracle": _fmt(config.oracle),
         "out_cloud": config.out_cloud,
         "out_dem": config.out_dem,
         "out_raster": config.out_raster,
@@ -116,9 +114,10 @@ def parse_config(text: str) -> PipelineConfig:
         if not cp.has_option(section, key) or cp.get(section, key).strip() == "":
             return fallback
         raw = cp.get(section, key).strip()
-        if conv is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return conv(raw)
+        try:
+            return cp.BOOLEAN_STATES[raw.lower()] if conv is bool else conv(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"[{section}] {key}: expected {conv.__name__}, got {raw!r}") from None
 
     crop_text = get("cloud", "crop", str, "")
     voting = VotingParams(
@@ -160,7 +159,6 @@ def parse_config(text: str) -> PipelineConfig:
         curb=curb,
         classify=classify,
         threads=get("run", "threads", int, 1),
-        oracle=get("run", "oracle", bool, False),
         out_cloud=get("run", "out_cloud", str, ""),
         out_dem=get("run", "out_dem", str, ""),
         out_raster=get("run", "out_raster", str, ""),
@@ -226,8 +224,6 @@ road_tolerance = 0.1
 
 [run]
 threads = 1
-# oracle = true makes the vote examine every pair (slow; for validation)
-oracle = false
 # output paths; leave blank to skip an export
 out_cloud =
 out_dem =

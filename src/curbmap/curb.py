@@ -92,13 +92,8 @@ def outlier_removal(cloud: PointCloud, candidates: np.ndarray, radius: float,
     candidates = np.asarray(candidates, dtype=np.int64)
     if len(candidates) == 0:
         return candidates
-    sub = cloud.select(candidates)
-    index = build_index(sub, radius)
-    keep = np.zeros(len(candidates), dtype=bool)
-    for k in range(len(candidates)):
-        found, _ = radius_neighbors(index, sub.points[k], radius)
-        keep[k] = len(found) - 1 >= min_neighbors
-    return candidates[keep]
+    index = build_index(cloud.select(candidates), radius)
+    return candidates[radius_neighbors(index, radius) - 1 >= min_neighbors]
 
 
 def detect_curbs(cloud: PointCloud, dem: DemGrid, params: CurbParams) -> CurbDetection:

@@ -75,10 +75,7 @@ class DemGrid:
 
     def cell_of(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row, col) indices of query coordinates; may fall outside."""
-        xy = np.atleast_2d(xy)
-        col = np.floor((xy[:, 0] - self.origin[0]) / self.cell).astype(np.int64)
-        row = np.floor((xy[:, 1] - self.origin[1]) / self.cell).astype(np.int64)
-        return row, col
+        return _bin_cells(np.atleast_2d(xy), self.origin, self.cell)
 
 
 def extract_ground_candidates(cloud: PointCloud, params: GroundParams) -> np.ndarray:

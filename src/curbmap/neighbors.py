@@ -2,14 +2,15 @@
 
 The workhorse is a uniform grid hash: points are binned once into cells
 of a fixed size (by default the query radius, so any query touches at
-most 27 cells), and queries gather candidates from the surrounding cell
-block. The brute-force linear scan with the same output contract lives
-in tests/oracles.py as the reference.
+most 27 cells), and each cell gathers its candidates from the
+surrounding cell block into one flat table, ascending by point index.
+The vote and the radius count both walk a cell's receivers against that
+candidate list. The brute-force linear scan lives in tests/oracles.py
+as the reference.
 
-Output contract: exactly the points with Euclidean distance <= radius
-(boundary inclusive), sorted by point index ascending.
-The sorted order is what makes downstream floating-point accumulation
-deterministic.
+Neighbor contract: exactly the points with Euclidean distance <= radius
+(boundary inclusive). A point is its own neighbor, and so is each of its
+exact duplicates.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
+
+# Receiver rows per block are cut so that a block holds at most this
+# many receiver-candidate pairs, or a single row.
+ROW_CHUNK_PAIRS = 1 << 18
 
 
 @dataclass
@@ -50,12 +55,6 @@ class UniformGridIndex:
         rem = key // self.dims[2]
         return rem // self.dims[1], rem % self.dims[1], cz
 
-    def _encode_inrange(self, cc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keys for cell coords (m, 3); out-of-range rows are masked out."""
-        ok = ((cc >= 0) & (cc < self.dims)).all(axis=1)
-        keys = (cc[:, 0] * self.dims[1] + cc[:, 1]) * self.dims[2] + cc[:, 2]
-        return keys, ok
-
     def cell_points(self, slot: int) -> np.ndarray:
         """Point indices in cell `slot`, ascending."""
         s = self.starts[slot]
@@ -80,7 +79,8 @@ class UniformGridIndex:
         cc = np.stack(self._decode(self.cell_keys), axis=1)
         ncell, k = len(cc), len(offs)
         nb = (cc[:, None, :] + offs[None, :, :]).reshape(-1, 3)
-        keys, ok = self._encode_inrange(nb)
+        ok = ((nb >= 0) & (nb < self.dims)).all(axis=1)
+        keys = (nb[:, 0] * self.dims[1] + nb[:, 1]) * self.dims[2] + nb[:, 2]
         pos = np.searchsorted(self.cell_keys, keys[ok])
         pos = np.minimum(pos, max(self.cell_count - 1, 0))
         hit = np.zeros(ncell * k, dtype=bool)
@@ -134,29 +134,38 @@ def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
                             order.astype(np.int64))
 
 
-def radius_neighbors(index: UniformGridIndex, center, radius: float):
-    """Indexed radius query. Returns (indices, distances), indices ascending."""
+def _count_block(qp, cp, r2: float) -> np.ndarray:
+    """For each query of qp (3, k), how many candidates of cp (3, m) lie within r2.
+
+    Offsets are candidate minus query and the squared components are
+    summed left to right, the operand order of the linear-scan
+    reference, so a pair on the boundary counts exactly as it does there.
+    """
+    d2 = (cp[0] - qp[0][:, None]) ** 2
+    d2 += (cp[1] - qp[1][:, None]) ** 2
+    d2 += (cp[2] - qp[2][:, None]) ** 2
+    return np.count_nonzero(d2 <= r2, axis=1)
+
+
+def radius_neighbors(index: UniformGridIndex, radius: float) -> np.ndarray:
+    """For every indexed point, how many indexed points lie within `radius`.
+
+    The point itself and exact duplicates count; the boundary is
+    inclusive. Each cell's receivers are counted against the cell's
+    candidate list in row chunks of at most ROW_CHUNK_PAIRS pairs, or
+    one row.
+    """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if index.cell_count == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    center = np.asarray(center, dtype=np.float64)
-    reach = int(np.ceil(radius / index.cell_size))
-    c0 = np.floor((center - index.origin) / index.cell_size).astype(np.int64)
-    span = np.arange(-reach, reach + 1, dtype=np.int64)
-    offs = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
-    keys, ok = index._encode_inrange(c0 + offs)
-    pos = np.searchsorted(index.cell_keys, keys[ok])
-    pos = np.minimum(pos, index.cell_count - 1)
-    pos = pos[index.cell_keys[pos] == keys[ok]]
-    if len(pos) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    cand = np.concatenate([
-        index.order[s:s + c] for s, c in zip(index.starts[pos], index.counts[pos])
-    ])
-    cand.sort()
-    delta = index.cloud.points[cand] - center
-    d2 = delta[:, 0] ** 2 + delta[:, 1] ** 2 + delta[:, 2] ** 2
-    keep = d2 <= radius * radius
-    return cand[keep], np.sqrt(d2[keep])
-
+    coords = np.ascontiguousarray(index.cloud.points.T)
+    counts = np.zeros(len(index.cloud), dtype=np.int64)
+    r2 = radius * radius
+    for slot in range(index.cell_count):
+        recv = index.cell_points(slot)
+        cand = index.cell_candidates(slot, radius)
+        cp = coords[:, cand]
+        rows = max(1, ROW_CHUNK_PAIRS // len(cand))
+        for a in range(0, len(recv), rows):
+            chunk = recv[a:a + rows]
+            counts[chunk] = _count_block(coords[:, chunk], cp, r2)
+    return counts

@@ -100,7 +100,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         report.counts["crop_points"] = len(cloud)
 
         clock.start("index")
-        index = None if config.oracle else build_index(cloud, config.voting.cutoff)
+        index = build_index(cloud, config.voting.cutoff)
         clock.stop()
 
         clock.start("vote")

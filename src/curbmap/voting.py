@@ -15,19 +15,19 @@ normal estimate.
 Determinism contract: every point's neighbor contributions are summed in
 ascending neighbor index order with a single fixed reduction primitive
 (np.add.reduceat), so results are bit-identical across thread counts and
-across the grid-indexed and brute-force execution paths.
+grid cell sizes, and equal to the double-loop reference in
+tests/oracles.py.
 
-How work is cut into blocks does not touch that order. The grid path
-votes each index cell's receivers against the cell's candidate list.
+How work is cut into blocks does not touch that order. The vote runs
+each index cell's receivers against the cell's candidate list.
 A cell whose block exceeds _BLOCK_PAIRS pairs is split by half-cell
 octant: each octant's receivers keep the candidates within
 ceil(cutoff / half cell) half cells of their own, as a half-size grid
 would list them. That subset still holds every in-radius neighbor, and
 it is cut from the ascending list by a mask, so it stays ascending. Any
-block still above _ROW_CHUNK_BLOCKS * _BLOCK_PAIRS pairs, on either
-path, is cut into row chunks, and rows are independent. Each receiver
-therefore hands reduceat the same values in the same order whatever
-the split.
+block still above _ROW_CHUNK_BLOCKS * _BLOCK_PAIRS pairs is cut into row
+chunks, and rows are independent. Each receiver therefore hands
+reduceat the same values in the same order whatever the split.
 """
 
 from __future__ import annotations
@@ -41,15 +41,15 @@ import numpy as np
 from . import eigen
 from .cloud import PointCloud
 from .errors import EmptyInputError
-from .neighbors import UniformGridIndex, build_index
+from .neighbors import ROW_CHUNK_PAIRS, UniformGridIndex, build_index
 
 # Default cutoff multiplier: decay drops below 1e-3 past sigma*sqrt(ln 1000).
 CUTOFF_SIGMAS = math.sqrt(math.log(1000.0))
 
 _CELL_BATCH = 48       # grid cells per parallel task
-_BRUTE_CHUNK = 512     # receivers per parallel task on the brute path
 _BLOCK_PAIRS = 1 << 16  # cell blocks above this many pairs split by octant
-_ROW_CHUNK_BLOCKS = 4   # blocks above this many _BLOCK_PAIRS split into row chunks
+# blocks above this many _BLOCK_PAIRS split into row chunks
+_ROW_CHUNK_BLOCKS = ROW_CHUNK_PAIRS // _BLOCK_PAIRS
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def _reduce_block(rp, cp, r2: float, s2: float) -> np.ndarray:
     fixed operand order, so a receiver
     gets the same bytes from any block that lists the same in-radius
     candidates in the same order: that is what makes the result
-    independent of how receivers and candidates are split into blocks,
-    threads or execution paths.
+    independent of how receivers and candidates are split into blocks
+    or threads.
     """
     k = rp.shape[1]
     dx = np.subtract.outer(rp[0], cp[0])
@@ -187,16 +187,15 @@ def _vote_grid_cells(coords, index, slots, r2, s2, cutoff, out):
 
 def sparse_vote(
     cloud: PointCloud,
-    index: UniformGridIndex | None,
+    index: UniformGridIndex,
     params: VotingParams,
     threads: int = 1,
 ) -> np.ndarray:
     """Accumulate ball votes over the whole cloud. Returns (n, 6) tensors.
 
-    With an index, candidates come from the surrounding cell block; with
-    index=None every pair is examined (the brute-force oracle path). Both
-    paths produce bit-identical tensors. Work is split into fixed batches
-    whose outputs are disjoint, so any thread count yields the same bytes.
+    Candidates come from each index cell's surrounding cell block. Work
+    is split into fixed batches of cells whose outputs are disjoint, so
+    any thread count yields the same bytes.
     """
     n = len(cloud)
     if n == 0:
@@ -206,21 +205,13 @@ def sparse_vote(
     s2 = params.sigma * params.sigma
     out = np.zeros((n, 6))
 
-    if index is None:
-        everyone = np.arange(n)
-        tasks = [
-            (lambda chunk=everyone[a:a + _BRUTE_CHUNK]: _vote_block(
-                coords, chunk, everyone, r2, s2, out))
-            for a in range(0, n, _BRUTE_CHUNK)
-        ]
-    else:
-        index.candidate_table(params.cutoff)  # materialize once, shared read-only
-        slots = range(index.cell_count)
-        tasks = [
-            (lambda batch=slots[a:a + _CELL_BATCH]: _vote_grid_cells(
-                coords, index, batch, r2, s2, params.cutoff, out))
-            for a in range(0, index.cell_count, _CELL_BATCH)
-        ]
+    index.candidate_table(params.cutoff)  # materialize once, shared read-only
+    slots = range(index.cell_count)
+    tasks = [
+        (lambda batch=slots[a:a + _CELL_BATCH]: _vote_grid_cells(
+            coords, index, batch, r2, s2, params.cutoff, out))
+        for a in range(0, index.cell_count, _CELL_BATCH)
+    ]
     if threads <= 1:
         for task in tasks:
             task()
@@ -267,10 +258,6 @@ def attach_saliencies(cloud: PointCloud, tensors: np.ndarray) -> PointCloud:
 
 
 def saliency_field(cloud: PointCloud, params: VotingParams, threads: int = 1) -> PointCloud:
-    """Index, sparse_vote and attach_saliencies in one call.
-
-    For the brute-force path, call
-    attach_saliencies(cloud, sparse_vote(cloud, None, params)).
-    """
+    """Index, sparse_vote and attach_saliencies in one call."""
     index = build_index(cloud, params.cutoff)
     return attach_saliencies(cloud, sparse_vote(cloud, index, params, threads=threads))

@@ -3,8 +3,8 @@
 Everything here is deliberately written against the math, not against
 the production code paths: a pivot-driven scalar Jacobi eigensolver, a
 spherical-quadrature realization of the ball vote as an integral of
-rotated stick votes, a plain double-loop voting pass and a linear-scan
-radius query. The only
+rotated stick votes, a plain double-loop voting pass, a linear-scan
+radius query and the per-candidate outlier filter built on it. The only
 shared primitive is np.add.reduceat, whose per-segment reduction is the
 pipeline's documented deterministic summation.
 
@@ -145,6 +145,22 @@ def brute_force_neighbors(cloud: PointCloud, center, radius: float):
     d2 = delta[:, 0] ** 2 + delta[:, 1] ** 2 + delta[:, 2] ** 2
     keep = np.flatnonzero(d2 <= radius * radius)
     return keep, np.sqrt(d2[keep])
+
+
+def reference_outlier_removal(cloud: PointCloud, candidates, radius: float,
+                              min_neighbors: int) -> np.ndarray:
+    """Per-candidate linear scans: the reference for `outlier_removal`.
+
+    A candidate survives when at least min_neighbors other candidates
+    lie within radius (boundary inclusive); exact duplicates count.
+    """
+    candidates = np.asarray(candidates, dtype=np.int64)
+    sub = PointCloud(cloud.points[candidates])
+    keep = np.zeros(len(candidates), dtype=bool)
+    for k in range(len(candidates)):
+        found, _ = brute_force_neighbors(sub, sub.points[k], radius)
+        keep[k] = len(found) - 1 >= min_neighbors
+    return candidates[keep]
 
 
 def matrices_to_sym(m: np.ndarray) -> np.ndarray:

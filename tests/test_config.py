@@ -22,7 +22,6 @@ class TestRoundTrip:
             voting=VotingParams(sigma=0.25, cutoff=0.7, include_self=False),
             curb=CurbParams(plate_threshold=0.35, outlier_min_neighbors=5),
             threads=4,
-            oracle=True,
             out_grid="map.sgrd",
         )
         assert parse_config(write_config(config)) == config
@@ -49,8 +48,20 @@ class TestPartialFiles:
         assert abs(config.voting.cutoff - 0.4 * 2.6282608848784663) < 1e-12
 
     def test_bool_parsing(self):
-        assert parse_config("[run]\noracle = true\n").oracle
-        assert not parse_config("[run]\noracle = false\n").oracle
+        assert parse_config("[voting]\ninclude_self = true\n").voting.include_self
+        assert not parse_config("[voting]\ninclude_self = false\n").voting.include_self
+
+    @pytest.mark.parametrize("section, key, text", [
+        ("voting", "include_self", "ture"),
+        ("voting", "include_self", "2"),
+        ("voting", "include_self", "y"),
+        ("voting", "sigma", "abc"),
+        ("run", "threads", "two"),
+        ("curb", "outlier_min_neighbors", "3.5"),
+    ])
+    def test_bad_value_names_section_and_key(self, section, key, text):
+        with pytest.raises(ValueError, match=rf"\[{section}\] {key}: .*'{text}'"):
+            parse_config(f"[{section}]\n{key} = {text}\n")
 
 
 class TestParseCrop:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curbmap import neighbors
 from curbmap import (ChannelMissingError, CurbParams, GroundParams, PointCloud,
                      SceneSpec, VotingParams, build_height_grid, detect_curbs,
                      generate_scene, ground_model, height_gate, outlier_removal,
                      plate_candidates, refine_dem, saliency_field)
 from curbmap.scene import _sample_grid, curb_face_distance
+
+from oracles import reference_outlier_removal
 
 
 def flat_dem(rng, z=0.0, half=10.0):
@@ -119,6 +124,46 @@ class TestOutlierRemoval:
     def test_empty_candidates(self):
         cloud = PointCloud(np.zeros((3, 3)))
         assert len(outlier_removal(cloud, np.zeros(0, dtype=int), 0.3, 3)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lattice=st.lists(st.tuples(*[st.integers(-4, 8)] * 3), min_size=1, max_size=60),
+        free=st.lists(st.tuples(*[st.floats(-1.0, 2.0, allow_nan=False)] * 3), max_size=12),
+        duplicates=st.lists(st.integers(0, 71), max_size=8),
+        stride=st.integers(1, 3),
+        min_neighbors=st.integers(1, 8),
+    )
+    def test_batched_matches_reference(self, lattice, free, duplicates, stride,
+                                       min_neighbors):
+        # Lattice points are multiples of the 0.25 m radius: axis neighbours
+        # lie exactly one radius apart, on index cell boundaries when no
+        # free point moves the origin, and repeats are exact duplicates.
+        radius = 0.25
+        points = np.array(lattice, dtype=float) * radius
+        if free:
+            points = np.concatenate([points, np.array(free)])
+        points = np.concatenate([points, points[[d % len(points) for d in duplicates]]])
+        cloud = PointCloud(points)
+        candidates = np.arange(0, len(points), stride)
+        kept = outlier_removal(cloud, candidates, radius, min_neighbors)
+        expected = reference_outlier_removal(cloud, candidates, radius, min_neighbors)
+        assert np.array_equal(kept, expected)
+
+    def test_count_blocks_bounded(self, monkeypatch):
+        seen = []
+        kernel = neighbors._count_block
+
+        def spy(qp, cp, r2):
+            seen.append((qp.shape[1], cp.shape[1]))
+            return kernel(qp, cp, r2)
+
+        monkeypatch.setattr(neighbors, "_count_block", spy)
+        cloud = PointCloud(np.tile(np.array([[1.0, 2.0, 3.0]]), (3000, 1)))
+        kept = outlier_removal(cloud, np.arange(3000), 0.3, 8)
+        assert kept.tolist() == list(range(3000))
+        assert len(seen) > 1 and sum(rows for rows, _ in seen) == 3000
+        for rows, cols in seen:
+            assert rows * cols <= 262_144 or rows == 1
 
 
 def band_fraction(xs, centers, width=0.3):

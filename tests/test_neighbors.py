@@ -43,74 +43,60 @@ class TestBuildIndex:
             build_index(cloud_of([[0, 0, 0]]), 0.0)
 
 
+def brute_force_counts(cloud, radius):
+    return np.array([len(brute_force_neighbors(cloud, p, radius)[0]) for p in cloud.points],
+                    dtype=np.int64)
+
+
 class TestRadiusNeighbors:
     def test_lone_point_self_included(self):
         index = build_index(cloud_of([[1, 2, 3]]), 1.0)
-        idx, dist = radius_neighbors(index, (1, 2, 3), 1.0)
-        assert idx.tolist() == [0]
-        assert dist[0] == 0.0
+        assert radius_neighbors(index, 1.0).tolist() == [1]
 
     def test_far_point_excluded(self):
         index = build_index(cloud_of([[0, 0, 0], [2, 0, 0]]), 1.0)
-        idx, _ = radius_neighbors(index, (0, 0, 0), 1.0)
-        assert idx.tolist() == [0]
+        assert radius_neighbors(index, 1.0).tolist() == [1, 1]
 
     def test_boundary_distance_included(self):
         index = build_index(cloud_of([[0, 0, 0], [1, 0, 0]]), 1.0)
-        idx, dist = radius_neighbors(index, (0, 0, 0), 1.0)
-        assert idx.tolist() == [0, 1]
-        assert dist[1] == 1.0
+        assert radius_neighbors(index, 1.0).tolist() == [2, 2]
 
-    def test_query_far_outside_grid(self):
-        index = build_index(cloud_of([[0, 0, 0]]), 1.0)
-        idx, _ = radius_neighbors(index, (50, 50, 50), 2.0)
-        assert len(idx) == 0
+    def test_empty_index(self):
+        index = build_index(cloud_of(np.zeros((0, 3))), 1.0)
+        counts = radius_neighbors(index, 2.0)
+        assert len(counts) == 0 and counts.dtype == np.int64
 
     def test_nonpositive_radius_rejected(self):
         index = build_index(cloud_of([[0, 0, 0]]), 1.0)
         with pytest.raises(ValueError):
-            radius_neighbors(index, (0, 0, 0), -1.0)
+            radius_neighbors(index, -1.0)
 
 
 class TestOracleEquivalence:
     def test_results_identical_to_brute_force(self, rng):
-        points = rng.uniform(0, 8, size=(2000, 3))
-        cloud = cloud_of(points)
-        index = build_index(cloud, 0.8)
-        for _ in range(100):
-            center = rng.uniform(-1, 9, size=3)
-            radius = rng.uniform(0.2, 2.5)
-            gi, gd = radius_neighbors(index, center, radius)
-            bi, bd = brute_force_neighbors(cloud, center, radius)
-            assert np.array_equal(gi, bi)
-            assert np.array_equal(gd, bd)
+        cloud = cloud_of(rng.uniform(0, 8, size=(2000, 3)))
+        for radius in rng.uniform(0.2, 2.5, size=4):
+            counts = radius_neighbors(build_index(cloud, 0.8), radius)
+            assert np.array_equal(counts, brute_force_counts(cloud, radius))
 
     def test_sorted_by_index(self, rng):
+        # counts follow point order, not the cell order of the walk
         points = rng.uniform(0, 3, size=(500, 3))
-        index = build_index(cloud_of(points), 0.5)
-        idx, _ = radius_neighbors(index, (1.5, 1.5, 1.5), 1.2)
-        assert np.array_equal(idx, np.sort(idx))
+        perm = rng.permutation(500)
+        counts = radius_neighbors(build_index(cloud_of(points), 0.5), 1.2)
+        permuted = radius_neighbors(build_index(cloud_of(points[perm]), 0.5), 1.2)
+        assert np.array_equal(permuted, counts[perm])
 
     def test_brute_force_empty_cloud(self):
         idx, dist = brute_force_neighbors(cloud_of(np.zeros((0, 3))), (0, 0, 0), 1.0)
         assert len(idx) == 0 and len(dist) == 0
 
     def test_radius_smaller_than_cell(self, rng):
-        points = rng.uniform(0, 4, size=(800, 3))
-        cloud = cloud_of(points)
-        index = build_index(cloud, 1.5)
-        for _ in range(20):
-            center = rng.uniform(0, 4, size=3)
-            gi, _ = radius_neighbors(index, center, 0.4)
-            bi, _ = brute_force_neighbors(cloud, center, 0.4)
-            assert np.array_equal(gi, bi)
+        cloud = cloud_of(rng.uniform(0, 4, size=(800, 3)))
+        counts = radius_neighbors(build_index(cloud, 1.5), 0.4)
+        assert np.array_equal(counts, brute_force_counts(cloud, 0.4))
 
     def test_radius_larger_than_cell(self, rng):
-        points = rng.uniform(0, 4, size=(800, 3))
-        cloud = cloud_of(points)
-        index = build_index(cloud, 0.3)
-        for _ in range(20):
-            center = rng.uniform(0, 4, size=3)
-            gi, _ = radius_neighbors(index, center, 1.1)
-            bi, _ = brute_force_neighbors(cloud, center, 1.1)
-            assert np.array_equal(gi, bi)
+        cloud = cloud_of(rng.uniform(0, 4, size=(800, 3)))
+        counts = radius_neighbors(build_index(cloud, 0.3), 1.1)
+        assert np.array_equal(counts, brute_force_counts(cloud, 1.1))

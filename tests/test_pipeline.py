@@ -87,17 +87,6 @@ class TestRunPipeline:
             grids[threads] = (tmp_path / f"grid{threads}.sgrd").read_bytes()
         assert grids[1] == grids[8]
 
-    def test_oracle_mode_matches_indexed(self, tmp_path):
-        tiny = generate_scene(SceneSpec(extent=6.0, road_width=3.0, wall_x=(),
-                                        canopy_blobs=(), density=60.0, seed=8))
-        out = {}
-        for name, oracle in (("grid", False), ("brute", True)):
-            config = config_for(tmp_path, out_cloud="", out_dem="", out_raster="",
-                                out_grid=str(tmp_path / f"{name}.sgrd"), oracle=oracle)
-            run_pipeline(config, cloud=tiny)
-            out[name] = (tmp_path / f"{name}.sgrd").read_bytes()
-        assert out["grid"] == out["brute"]
-
     def test_matches_library_path(self, tmp_path, small_cloud):
         config = config_for(tmp_path, out_cloud="", out_dem="", out_raster="", out_grid="")
         result = run_pipeline(config, cloud=small_cloud)

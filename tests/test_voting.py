@@ -23,6 +23,18 @@ def cloud_of(points):
     return PointCloud(np.asarray(points, dtype=float))
 
 
+def grid_vote(points, params, cell_size=None, threads=1):
+    """sparse_vote over an index of `cell_size` cells (default: the cutoff)."""
+    cloud = cloud_of(points)
+    index = build_index(cloud, params.cutoff if cell_size is None else cell_size)
+    return sparse_vote(cloud, index, params, threads=threads)
+
+
+# Cells this wide hold each test cloud in one cell: every point is a
+# candidate of every receiver, the layout a brute-force vote examines.
+ONE_CELL = 10.0
+
+
 def pair_vote(receiver, voter, sigma):
     """The 3x3 vote `receiver` gets from `voter`: sparse_vote on the pair alone."""
     cloud = cloud_of([receiver, voter])
@@ -65,7 +77,7 @@ class TestVotingParams:
 
 class TestEncode:
     def test_single_point_identity(self):
-        t6 = sparse_vote(cloud_of([[1, 2, 3]]), None, VotingParams(sigma=1.0))
+        t6 = grid_vote([[1, 2, 3]], VotingParams(sigma=1.0))
         assert np.array_equal(t6, [[1, 0, 0, 1, 0, 1]])
 
     def test_all_identity_eigenvalues(self, rng):
@@ -73,7 +85,7 @@ class TestEncode:
         # only its unit ball encoding
         points = np.arange(50)[:, None] * np.array([10.0, 0.0, 0.0])
         points += rng.normal(0, 0.1, size=points.shape)
-        t6 = sparse_vote(cloud_of(points), None, VotingParams(sigma=0.3))
+        t6 = grid_vote(points, VotingParams(sigma=0.3))
         lam, _ = decompose_batch(t6)
         assert np.allclose(lam, 1.0, atol=1e-12)
         stick, plate, ball = saliencies(lam)
@@ -117,8 +129,7 @@ class TestSparseVote:
         assert np.array_equal(t6, [[1, 0, 0, 1, 0, 1]])
 
     def test_isolated_point_without_self(self):
-        cloud = cloud_of([[5, 5, 5]])
-        t6 = sparse_vote(cloud, None, VotingParams(sigma=1.0, include_self=False))
+        t6 = grid_vote([[5, 5, 5]], VotingParams(sigma=1.0, include_self=False))
         assert np.array_equal(t6, np.zeros((1, 6)))
 
     def test_two_points_single_vote_algebra(self):
@@ -140,7 +151,7 @@ class TestSparseVote:
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyInputError):
-            sparse_vote(cloud_of(np.zeros((0, 3))), None, VotingParams())
+            grid_vote(np.zeros((0, 3)), VotingParams())
 
     def test_double_loop_oracle_exact(self, rng):
         points = rng.uniform(0, 3, size=(400, 3))
@@ -148,9 +159,9 @@ class TestSparseVote:
         params = VotingParams(sigma=0.4)
         expected = double_loop_vote(points, params.sigma, params.cutoff)
         via_grid = sparse_vote(cloud, build_index(cloud, params.cutoff), params)
-        via_brute = sparse_vote(cloud, None, params)
+        via_one_cell = grid_vote(points, params, ONE_CELL)
         assert np.array_equal(via_grid, expected)
-        assert np.array_equal(via_brute, expected)
+        assert np.array_equal(via_one_cell, expected)
 
     def test_thread_count_does_not_change_bytes(self, rng):
         points = rng.uniform(0, 4, size=(3000, 3))
@@ -163,8 +174,7 @@ class TestSparseVote:
 
     def test_accumulated_tensors_are_psd(self, rng):
         points = rng.uniform(0, 2, size=(300, 3))
-        cloud = cloud_of(points)
-        t6 = sparse_vote(cloud, None, VotingParams(sigma=0.5, include_self=False))
+        t6 = grid_vote(points, VotingParams(sigma=0.5, include_self=False))
         lam, _ = decompose_batch(t6)
         assert lam.min() > -1e-9
 
@@ -217,7 +227,7 @@ class TestSplitBlocks:
         for scale in (0.5, 1.5):
             other = build_index(cloud, scale * cutoff)
             assert np.array_equal(sparse_vote(cloud, other, self.PARAMS), expected)
-        assert np.array_equal(sparse_vote(cloud, None, self.PARAMS, threads=2), expected)
+        assert np.array_equal(grid_vote(dense, self.PARAMS, ONE_CELL, threads=2), expected)
 
     def test_block_memory_bounded(self, dense, monkeypatch):
         cloud = cloud_of(dense)
@@ -226,9 +236,9 @@ class TestSplitBlocks:
         sparse_vote(cloud, build_index(cloud, self.PARAMS.cutoff), self.PARAMS)
         assert_blocks_bounded(seen)
         seen.clear()
-        sparse_vote(cloud, None, self.PARAMS)
+        grid_vote(dense, self.PARAMS, ONE_CELL)
         assert_blocks_bounded(seen)
-        # a row of the brute path holds every point: the chunks stay
+        # a row of the one-cell index holds every point: the chunks stay
         # within the bound because this cloud is smaller than it
         assert max(rows * cols for rows, cols in seen) > voting._BLOCK_PAIRS
 
@@ -258,10 +268,10 @@ class TestSplitBlocks:
             patch.setattr(voting, "_BLOCK_PAIRS", block_pairs)
             seen = block_spy(patch)
             via_grid = sparse_vote(cloud, build_index(cloud, scale), params, threads=threads)
-            via_brute = sparse_vote(cloud, None, params, threads=threads)
+            via_one_cell = grid_vote(points, params, ONE_CELL, threads=threads)
             assert_blocks_bounded(seen)
         assert np.array_equal(via_grid, expected)
-        assert np.array_equal(via_brute, expected)
+        assert np.array_equal(via_one_cell, expected)
 
 
 def plane_patch(rng, half=1.5, density=450.0, noise=0.01):
@@ -344,10 +354,9 @@ class TestSaliencyField:
     def test_truncation_error_bound(self, rng):
         # the default cutoff loses under 0.2% of each accumulated tensor
         points = rng.uniform(0, 1, size=(1200, 3))
-        cloud = cloud_of(points)
         sigma = 0.5
-        truncated = sparse_vote(cloud, None, VotingParams(sigma=sigma))
-        full = sparse_vote(cloud, None, VotingParams(sigma=sigma, cutoff=10.0))
+        truncated = grid_vote(points, VotingParams(sigma=sigma))
+        full = double_loop_vote(points, sigma, 10.0)
         weight = np.array([1, 2, 2, 1, 2, 1], dtype=float)  # six-component Frobenius
         diff = np.sqrt(((truncated - full) ** 2 * weight).sum(axis=1))
         norm = np.sqrt((full ** 2 * weight).sum(axis=1))
