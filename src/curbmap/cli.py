@@ -21,11 +21,11 @@ from pathlib import Path
 import configparser
 
 from .cloud import write_cloud
-from .config import (PipelineConfig, default_config_text, parse_config, parse_crop)
+from .config import (PipelineConfig, config_sections, default_config_text, ini_parser,
+                     parse_config, read_section)
 from .errors import CurbmapError, PipelineError
 from .pipeline import run_pipeline
 from .scene import SceneSpec, generate_scene
-from .voting import VotingParams
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,51 +48,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
 def _scene_spec_from_file(path: str) -> SceneSpec:
-    cp = configparser.ConfigParser()
+    cp = ini_parser()
     cp.read_string(Path(path).read_text())
-    if not cp.has_section("scene"):
-        raise CurbmapError(f"{path}: missing [scene] section")
-    sec = cp["scene"]
-    kwargs = {}
-    for f in dataclasses.fields(SceneSpec):
-        if f.name not in sec:
-            continue
-        raw = sec[f.name].strip()
-        if f.name == "wall_x":
-            kwargs[f.name] = tuple(float(v) for v in raw.split(",") if v.strip())
-        elif f.name == "canopy_blobs":
-            blobs = []
-            for chunk in raw.split(";"):
-                if chunk.strip():
-                    blobs.append(tuple(float(v) for v in chunk.split(",")))
-            kwargs[f.name] = tuple(blobs)
-        elif f.name == "seed":
-            kwargs[f.name] = int(raw)
-        else:
-            kwargs[f.name] = float(raw)
-    return SceneSpec(**kwargs)
+    if cp.sections() != ["scene"]:
+        raise CurbmapError(f"{path}: expected one [scene] section, got {cp.sections()}")
+    special = {"wall_x": _floats,
+               "canopy_blobs": lambda t: tuple(map(_floats, filter(str.strip, t.split(";"))))}
+    keys = {f.name: f.name for f in dataclasses.fields(SceneSpec)}
+    return SceneSpec(**read_section(cp.items("scene"), "scene", SceneSpec(), keys, special))
 
 
 def _merge_config(args: argparse.Namespace) -> PipelineConfig:
-    config = parse_config(Path(args.config).read_text()) if args.config else PipelineConfig()
-    updates = {}
-    if args.input:
-        updates["input_path"] = args.input
-    if args.format:
-        updates["input_format"] = args.format
-    if args.crop:
-        updates["crop"] = parse_crop(args.crop)
-    if args.sigma is not None:
-        updates["voting"] = VotingParams(
-            sigma=args.sigma, include_self=config.voting.include_self)
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    for flag in ("out_cloud", "out_dem", "out_raster", "out_grid"):
-        value = getattr(args, flag)
-        if value:
-            updates[flag] = value
-    return dataclasses.replace(config, **updates)
+    """The --config file's values, with each given flag overriding the key of its name."""
+    overrides = {section: {key: str(value) for key in keys
+                           if (value := getattr(args, key, None)) not in (None, "")}
+                 for section, _, _, keys in config_sections(PipelineConfig())}
+    return parse_config(Path(args.config).read_text() if args.config else "", overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CurbmapError, OSError, ValueError) as exc:
+    except (CurbmapError, OSError, ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,6 +3,7 @@
 The file uses INI sections named after the package modules. Every value
 has a default; a template with all defaults and inline documentation
 comes from default_config_text() (the CLI's --write-default-config).
+Keys come from one section table; an unknown section or key is an error.
 Serialization uses repr for floats so parse(write(config)) reproduces an
 equal config exactly.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cloud import CropBox
 from .curb import CurbParams
@@ -36,7 +37,36 @@ class PipelineConfig:
     out_grid: str = ""
 
 
+# Section -> the PipelineConfig field whose parameter class supplies the
+# keys, or an explicit {key: PipelineConfig field} map. Order is file order.
+_SECTIONS = {
+    "cloud": {"input": "input_path", "format": "input_format", "crop": "crop"},
+    "voting": "voting",
+    "dem": "ground",
+    "curb": "curb",
+    "semantic": "classify",
+    "run": {k: k for k in ("threads", "out_cloud", "out_dem", "out_raster", "out_grid")},
+}
+_BOOLS = configparser.ConfigParser.BOOLEAN_STATES
+
+
+def config_sections(config: PipelineConfig):
+    """Yield (section, field, owner, keys) per config file section: owner
+    is config (field None) or its parameter object in that field, and keys
+    maps each key of the section to an attribute of owner."""
+    for section, spec in _SECTIONS.items():
+        if isinstance(spec, dict):
+            yield section, None, config, spec
+        else:
+            owner = getattr(config, spec)
+            yield section, spec, owner, {f.name: f.name for f in fields(owner)}
+
+
 def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, CropBox):
+        return ",".join(_fmt(v) for v in (*value.min_corner, *value.max_corner))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -44,126 +74,84 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def parse_crop(text: str) -> CropBox:
-    """Crop box from "x0,y0,z0,x1,y1,z1"."""
+def parse_crop(text: str) -> CropBox | None:
+    """Crop box from "x0,y0,z0,x1,y1,z1"; None for blank text."""
+    if not text.strip():
+        return None
     parts = [float(p) for p in text.replace(";", ",").split(",") if p.strip()]
     if len(parts) != 6:
         raise ValueError(f"crop needs 6 numbers, got {len(parts)}")
     return CropBox(tuple(parts[:3]), tuple(parts[3:]))
 
 
+def ini_parser() -> configparser.ConfigParser:
+    """INI reader without interpolation, where [DEFAULT] is an ordinary section."""
+    return configparser.ConfigParser(interpolation=None, default_section="")
+
+
+def read_section(items, section: str, defaults, keys: dict[str, str],
+                 special: dict) -> dict:
+    """{attribute: value} from the `key = text` items of one section.
+
+    keys maps each key to an attribute of `defaults`, whose type (float
+    for None) converts the text; blank text keeps the default. special
+    maps an attribute to its own converter, which gets blank text too.
+    An unknown key or a bad value raises ValueError naming [section] key.
+    """
+    given = {}
+    for key, raw in items:
+        if key not in keys:
+            raise ValueError(f"[{section}] {key}: unknown key")
+        attr, text = keys[key], raw.strip()
+        if attr in special:
+            try:
+                given[attr] = special[attr](text)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
+        elif text:
+            default = getattr(defaults, attr)
+            kind = float if default is None else type(default)
+            try:
+                given[attr] = _BOOLS[text.lower()] if kind is bool else kind(text)
+            except (KeyError, ValueError):
+                raise ValueError(f"[{section}] {key}: expected {kind.__name__}, "
+                                 f"got {text!r}") from None
+    return given
+
+
 def write_config(config: PipelineConfig) -> str:
     """Serialize a config to the key = value file format."""
-    cp = configparser.ConfigParser()
-    cp["cloud"] = {
-        "input": config.input_path,
-        "format": config.input_format,
-        "crop": "" if config.crop is None else ",".join(
-            _fmt(v) for v in (*config.crop.min_corner, *config.crop.max_corner)),
-    }
-    cp["voting"] = {
-        "sigma": _fmt(config.voting.sigma),
-        "cutoff": _fmt(config.voting.cutoff),
-        "include_self": _fmt(config.voting.include_self),
-    }
-    g = config.ground
-    cp["dem"] = {
-        "stick_threshold": _fmt(g.stick_threshold),
-        "max_angle_deg": _fmt(g.max_angle_deg),
-        "height_cell": _fmt(g.height_cell),
-        "refined_cell": _fmt(g.refined_cell),
-        "coarse_cell": _fmt(g.coarse_cell),
-        "consistency": _fmt(g.consistency),
-        "min_samples": _fmt(g.min_samples),
-    }
-    c = config.curb
-    cp["curb"] = {
-        "plate_threshold": _fmt(c.plate_threshold),
-        "height_ceiling": _fmt(c.height_ceiling),
-        "height_floor": _fmt(c.height_floor),
-        "outlier_radius": _fmt(c.outlier_radius),
-        "outlier_min_neighbors": _fmt(c.outlier_min_neighbors),
-    }
-    s = config.classify
-    cp["semantic"] = {
-        "cell": _fmt(s.cell),
-        "min_points": _fmt(s.min_points),
-        "robot_height": _fmt(s.robot_height),
-        "wall_point_threshold": _fmt(s.wall_point_threshold),
-        "road_tolerance": _fmt(s.road_tolerance),
-    }
-    cp["run"] = {
-        "threads": _fmt(config.threads),
-        "out_cloud": config.out_cloud,
-        "out_dem": config.out_dem,
-        "out_raster": config.out_raster,
-        "out_grid": config.out_grid,
-    }
+    cp = ini_parser()
+    for section, _, owner, keys in config_sections(config):
+        cp[section] = {key: _fmt(getattr(owner, attr)) for key, attr in keys.items()}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
-def parse_config(text: str) -> PipelineConfig:
-    """Config from file text; missing keys keep their defaults."""
-    cp = configparser.ConfigParser()
+def parse_config(text: str, overrides: dict[str, dict[str, str]] | None = None) -> PipelineConfig:
+    """Config from file text; missing or blank keys keep their defaults.
+
+    overrides, {section: {key: text}}, replace single file values before
+    they are read, so a blank or absent cutoff still follows an overridden
+    sigma. An unknown section or key raises ValueError."""
+    cp = ini_parser()
     cp.read_string(text)
-    defaults = PipelineConfig()
-
-    def get(section, key, conv, fallback):
-        if not cp.has_option(section, key) or cp.get(section, key).strip() == "":
-            return fallback
-        raw = cp.get(section, key).strip()
-        try:
-            return cp.BOOLEAN_STATES[raw.lower()] if conv is bool else conv(raw)
-        except (KeyError, ValueError):
-            raise ValueError(f"[{section}] {key}: expected {conv.__name__}, got {raw!r}") from None
-
-    crop_text = get("cloud", "crop", str, "")
-    voting = VotingParams(
-        sigma=get("voting", "sigma", float, defaults.voting.sigma),
-        cutoff=get("voting", "cutoff", float, None),
-        include_self=get("voting", "include_self", bool, True),
-    )
-    ground = GroundParams(
-        stick_threshold=get("dem", "stick_threshold", float, defaults.ground.stick_threshold),
-        max_angle_deg=get("dem", "max_angle_deg", float, defaults.ground.max_angle_deg),
-        height_cell=get("dem", "height_cell", float, defaults.ground.height_cell),
-        refined_cell=get("dem", "refined_cell", float, defaults.ground.refined_cell),
-        coarse_cell=get("dem", "coarse_cell", float, defaults.ground.coarse_cell),
-        consistency=get("dem", "consistency", float, defaults.ground.consistency),
-        min_samples=get("dem", "min_samples", int, defaults.ground.min_samples),
-    )
-    curb = CurbParams(
-        plate_threshold=get("curb", "plate_threshold", float, defaults.curb.plate_threshold),
-        height_ceiling=get("curb", "height_ceiling", float, defaults.curb.height_ceiling),
-        height_floor=get("curb", "height_floor", float, defaults.curb.height_floor),
-        outlier_radius=get("curb", "outlier_radius", float, defaults.curb.outlier_radius),
-        outlier_min_neighbors=get("curb", "outlier_min_neighbors", int,
-                                  defaults.curb.outlier_min_neighbors),
-    )
-    classify = ClassifyParams(
-        cell=get("semantic", "cell", float, defaults.classify.cell),
-        min_points=get("semantic", "min_points", int, defaults.classify.min_points),
-        robot_height=get("semantic", "robot_height", float, defaults.classify.robot_height),
-        wall_point_threshold=get("semantic", "wall_point_threshold", int,
-                                 defaults.classify.wall_point_threshold),
-        road_tolerance=get("semantic", "road_tolerance", float, defaults.classify.road_tolerance),
-    )
-    return PipelineConfig(
-        input_path=get("cloud", "input", str, ""),
-        input_format=get("cloud", "format", str, "xyz"),
-        crop=parse_crop(crop_text) if crop_text else None,
-        voting=voting,
-        ground=ground,
-        curb=curb,
-        classify=classify,
-        threads=get("run", "threads", int, 1),
-        out_cloud=get("run", "out_cloud", str, ""),
-        out_dem=get("run", "out_dem", str, ""),
-        out_raster=get("run", "out_raster", str, ""),
-        out_grid=get("run", "out_grid", str, ""),
-    )
+    cp.read_dict(overrides or {})
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"[{section}]: unknown config section")
+    values = {}
+    for section, field_name, owner, keys in config_sections(PipelineConfig()):
+        items = cp.items(section) if cp.has_section(section) else []
+        given = read_section(items, section, owner, keys, {"crop": parse_crop})
+        if field_name:
+            values[field_name] = type(owner)(**given)
+        else:
+            values.update(given)
+    if values.get("input_format", "xyz").lower() not in ("pcd", "xyz"):
+        raise ValueError(f"[cloud] format: expected pcd or xyz, got {values['input_format']!r}")
+    return PipelineConfig(**values)
 
 
 _TEMPLATE_DOC = """\

@@ -1,12 +1,14 @@
+import configparser
 import dataclasses
 
 import pytest
 
 from curbmap import PipelineConfig, default_config_text, parse_config, write_config
+from curbmap.cli import _build_parser, _merge_config
 from curbmap.cloud import CropBox
 from curbmap.config import parse_crop
 from curbmap.curb import CurbParams
-from curbmap.voting import VotingParams
+from curbmap.voting import CUTOFF_SIGMAS, VotingParams
 
 
 class TestRoundTrip:
@@ -34,6 +36,13 @@ class TestRoundTrip:
         text = default_config_text()
         for section in ("[cloud]", "[voting]", "[dem]", "[curb]", "[semantic]", "[run]"):
             assert section in text
+        written = configparser.ConfigParser()
+        written.read_string(write_config(PipelineConfig()))
+        assert sum(len(written[section]) for section in written.sections()) == 28
+        for section in written.sections():
+            block = text.split(f"[{section}]\n")[1].split("\n[")[0]
+            for key in written[section]:
+                assert f"\n{key} =" in f"\n{block}", f"[{section}] {key}"
 
 
 class TestPartialFiles:
@@ -58,10 +67,46 @@ class TestPartialFiles:
         ("voting", "sigma", "abc"),
         ("run", "threads", "two"),
         ("curb", "outlier_min_neighbors", "3.5"),
+        ("cloud", "format", "ply"),
     ])
     def test_bad_value_names_section_and_key(self, section, key, text):
         with pytest.raises(ValueError, match=rf"\[{section}\] {key}: .*'{text}'"):
             parse_config(f"[{section}]\n{key} = {text}\n")
+
+    def test_format_any_case(self):
+        assert parse_config("[cloud]\nformat = PCD\n").input_format == "PCD"
+
+    @pytest.mark.parametrize("text, name", [
+        ("[dme]\nheight_cell = 0.5\n", r"\[dme\]"),
+        ("[voting]\nsigmaa = 0.5\n", r"\[voting\] sigmaa"),
+        ("[cloud]\ninput_path = a.xyz\n", r"\[cloud\] input_path"),
+        ("[DEFAULT]\nsigma = 0.5\n", r"\[DEFAULT\]"),
+    ])
+    def test_unknown_section_or_key_named(self, text, name):
+        with pytest.raises(ValueError, match=name):
+            parse_config(text)
+
+
+class TestOverrides:
+    """Single-key overrides, as the CLI applies its flags."""
+
+    def test_explicit_cutoff_kept_under_sigma_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[voting]\ncutoff = 0.7\n")
+        args = _build_parser().parse_args(["--config", str(cfg), "--sigma", "0.25"])
+        assert _merge_config(args).voting == VotingParams(sigma=0.25, cutoff=0.7)
+
+    @pytest.mark.parametrize("text", ["", "[voting]\n", "[voting]\ncutoff =\n"])
+    def test_absent_or_blank_cutoff_follows_sigma_flag(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        args = _build_parser().parse_args(["--config", str(cfg), "--sigma", "0.25"])
+        assert _merge_config(args).voting.cutoff == 0.25 * CUTOFF_SIGMAS
+
+    def test_override_replaces_single_key(self):
+        config = parse_config("[run]\nthreads = 3\nout_grid = a.sgrd\n",
+                              {"run": {"threads": "2"}})
+        assert (config.threads, config.out_grid) == (2, "a.sgrd")
 
 
 class TestParseCrop:

@@ -7,6 +7,7 @@ import pytest
 from curbmap import (CropBox, PipelineConfig, PipelineError, PointCloud, SceneSpec,
                      detect_curbs, generate_scene, read_compact, run_pipeline,
                      saliency_field, write_cloud)
+from curbmap import cli
 from curbmap.cli import main
 from curbmap.scene import curb_face_distance
 
@@ -176,12 +177,46 @@ class TestCli:
         assert "crop" in captured.err
         assert not (tmp_path / "never.sgrd").exists()
 
-    def test_config_file_plus_flag_override(self, tmp_path, small_cloud, capsys):
+    def test_config_file_plus_flag_override(self, tmp_path, small_cloud, capsys,
+                                            monkeypatch):
         path = tmp_path / "scene.xyz"
         path.write_bytes(write_cloud(small_cloud, "xyz"))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[cloud]\ninput = {path}\n[run]\nthreads = 1\n")
         grid_file = tmp_path / "map.sgrd"
+        seen = []
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda config: seen.append(config) or run_pipeline(config))
         assert main(["--config", str(cfg), "--threads", "2",
                      "--out-grid", str(grid_file)]) == 0
         assert grid_file.exists()
+        assert (seen[0].threads, seen[0].input_path) == (2, str(path))
+        assert seen[0].out_grid == str(grid_file)
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("seed = 12", "seed = 12\nbogus_key = 3", "[scene] bogus_key"),
+        ("seed = 12", "seed = x", "[scene] seed"),
+        ("wall_x =", "wall_x = 1,a", "[scene] wall_x"),
+        ("seed = 12", "seed = 12\nseed = 13", "'seed'"),
+    ])
+    def test_bad_scene_file_writes_nothing(self, tmp_path, capsys, old, new, named):
+        spec_file = tmp_path / "scene.cfg"
+        spec_file.write_text(SCENE_CFG.replace(old, new))
+        cloud_file = tmp_path / "street.xyz"
+        assert main(["--gen-scene", str(spec_file), "--out-cloud", str(cloud_file)]) == 1
+        assert named in capsys.readouterr().err
+        assert not cloud_file.exists()
+
+    @pytest.mark.parametrize("section", ["scen", "DEFAULT"])
+    def test_scene_file_extra_section_rejected(self, tmp_path, capsys, section):
+        spec_file = tmp_path / "scene.cfg"
+        spec_file.write_text(SCENE_CFG + f"[{section}]\nseed = 3\n")
+        assert main(["--gen-scene", str(spec_file),
+                     "--out-cloud", str(tmp_path / "street.xyz")]) == 1
+        assert "[scene]" in capsys.readouterr().err
+
+    def test_blank_scene_tuples_mean_none(self, tmp_path):
+        spec_file = tmp_path / "scene.cfg"
+        spec_file.write_text(SCENE_CFG)
+        spec = cli._scene_spec_from_file(str(spec_file))
+        assert (spec.wall_x, spec.canopy_blobs, spec.seed) == ((), (), 12)
