@@ -2,9 +2,9 @@
 """Time sparse voting and decomposition across thread counts.
 
 Runs on the standard synthetic street and verifies that every thread
-count produces bit-identical tensors. An untimed first pass counts the
-pairs the vote kernel examines, by wrapping `voting._reduce_block`: the
-receiver x candidate pairs of every block, how many of them lie inside
+count produces bit-identical tensors. An untimed first pass walks the
+vote's blocks (`UniformGridIndex.blocks`) and counts the receiver x
+candidate pairs the vote kernel examines, how many of them lie inside
 the cutoff, and the largest block.
 """
 
@@ -14,28 +14,20 @@ import time
 import numpy as np
 
 from curbmap import (SceneSpec, VotingParams, build_index, decompose_batch,
-                     generate_scene, sparse_vote, voting)
+                     generate_scene, sparse_vote)
 
 
 def count_pairs(cloud, index, params):
-    """Vote once with a counting wrapper around the block kernel."""
+    """Walk the blocks the vote sees and count their pairs."""
     stats = {"examined": 0, "inradius": 0, "largest": 0}
-    kernel = voting._reduce_block
+    coords = np.ascontiguousarray(cloud.points.T)
     r2 = params.cutoff * params.cutoff
-
-    def counting(rp, cp, *args):
-        pairs = rp.shape[1] * cp.shape[1]
-        d2 = sum(np.subtract.outer(rp[a], cp[a]) ** 2 for a in range(3))
+    for recv, cand in index.blocks(range(index.cell_count), params.cutoff):
+        pairs = len(recv) * len(cand)
+        d2 = sum(np.subtract.outer(coords[a, recv], coords[a, cand]) ** 2 for a in range(3))
         stats["examined"] += pairs
         stats["inradius"] += int(np.count_nonzero((d2 > 0.0) & (d2 <= r2)))
         stats["largest"] = max(stats["largest"], pairs)
-        return kernel(rp, cp, *args)
-
-    voting._reduce_block = counting
-    try:
-        sparse_vote(cloud, index, params)
-    finally:
-        voting._reduce_block = kernel
     return stats
 
 

@@ -75,7 +75,7 @@ class DemGrid:
 
     def cell_of(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row, col) indices of query coordinates; may fall outside."""
-        return _bin_cells(np.atleast_2d(xy), self.origin, self.cell)
+        return bin_cells(np.atleast_2d(xy), self.origin, self.cell)
 
 
 def extract_ground_candidates(cloud: PointCloud, params: GroundParams) -> np.ndarray:
@@ -92,47 +92,43 @@ def extract_ground_candidates(cloud: PointCloud, params: GroundParams) -> np.nda
     return np.flatnonzero(keep)
 
 
-def _bin_cells(xy: np.ndarray, origin, cell: float):
+def bin_cells(xy: np.ndarray, origin, cell: float):
+    """(row, col) of the cells of side `cell` from `origin` holding each xy."""
     col = np.floor((xy[:, 0] - origin[0]) / cell).astype(np.int64)
     row = np.floor((xy[:, 1] - origin[1]) / cell).astype(np.int64)
     return row, col
 
 
-def _lower_median(values: np.ndarray) -> float:
-    """The ceil(n/2)-th order statistic.
-
-    Equal to the ordinary median for odd counts. For even counts it
-    returns the lower of the two middle samples instead of their
-    midpoint: height pollution (canopy, vehicle roofs) is one-sided
-    above the ground, and a midpoint between the ground mode and an
-    elevated mode would be a fictitious height no sample supports.
-    """
-    k = (len(values) - 1) // 2
-    return float(np.partition(values, k)[k])
+def snapped_origin(xy: np.ndarray, cell: float) -> tuple[float, float]:
+    """The min corner of xy snapped down to a multiple of `cell`."""
+    return (float(np.floor(xy[:, 0].min() / cell) * cell),
+            float(np.floor(xy[:, 1].min() / cell) * cell))
 
 
 def _median_grid(xy, values, weights, origin, cell: float):
     """Per-cell lower median of values; returns (heights, counts, valid).
 
+    The lower median is the ceil(n/2)-th order statistic: the ordinary
+    median for odd counts, the lower of the two middle samples for even
+    counts. Height pollution (canopy, vehicle roofs) is one-sided above
+    the ground, and a midpoint between the ground mode and an elevated
+    mode would be a fictitious height no sample supports.
+
     weights carries a sample count per value (1 for raw points, the
     subcell population when aggregating a finer grid); counts is its
     per-cell sum. A cell is valid when it holds at least one value.
     """
-    row, col = _bin_cells(xy, origin, cell)
-    nrows = int(row.max()) + 1
-    ncols = int(col.max()) + 1
-    heights = np.full((nrows, ncols), NODATA)
-    counts = np.zeros((nrows, ncols), dtype=np.int64)
+    row, col = bin_cells(xy, origin, cell)
+    nrows, ncols = int(row.max()) + 1, int(col.max()) + 1
     key = row * ncols + col
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    boundaries = np.flatnonzero(np.diff(sorted_key)) + 1
-    segments = np.split(order, boundaries)
-    for seg in segments:
-        r, c = int(row[seg[0]]), int(col[seg[0]])
-        heights[r, c] = _lower_median(values[seg])
-        counts[r, c] = int(weights[seg].sum())
-    return heights, counts, counts > 0
+    order = np.lexsort((values, key))
+    cells, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
+    heights = np.full(nrows * ncols, NODATA)
+    counts = np.zeros(nrows * ncols, dtype=np.int64)
+    heights[cells] = values[order[starts + (sizes - 1) // 2]]
+    counts[cells] = np.add.reduceat(weights[order], starts)
+    counts = counts.reshape(nrows, ncols)
+    return heights.reshape(nrows, ncols), counts, counts > 0
 
 
 def build_height_grid(points: np.ndarray, cell: float, min_samples: int = 3,
@@ -147,10 +143,7 @@ def build_height_grid(points: np.ndarray, cell: float, min_samples: int = 3,
     if len(points) == 0:
         raise EmptyInputError("no ground candidate points")
     if origin is None:
-        origin = (
-            float(np.floor(points[:, 0].min() / cell) * cell),
-            float(np.floor(points[:, 1].min() / cell) * cell),
-        )
+        origin = snapped_origin(points, cell)
     heights, counts, _ = _median_grid(
         points[:, :2], points[:, 2], np.ones(len(points), dtype=np.int64), origin, cell
     )

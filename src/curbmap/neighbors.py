@@ -4,9 +4,9 @@ The workhorse is a uniform grid hash: points are binned once into cells
 of a fixed size (by default the query radius, so any query touches at
 most 27 cells), and each cell gathers its candidates from the
 surrounding cell block into one flat table, ascending by point index.
-The vote and the radius count both walk a cell's receivers against that
-candidate list. The brute-force linear scan lives in tests/oracles.py
-as the reference.
+The vote and the radius count both walk `UniformGridIndex.blocks`, which
+cuts each cell's receivers and candidate list into bounded blocks. The
+brute-force linear scan lives in tests/oracles.py as the reference.
 
 Neighbor contract: exactly the points with Euclidean distance <= radius
 (boundary inclusive). A point is its own neighbor, and so is each of its
@@ -15,12 +15,15 @@ exact duplicates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cloud import PointCloud
+from .errors import CurbmapError
 
+BLOCK_PAIRS = 1 << 16  # cell blocks above this many pairs split by octant
 # Receiver rows per block are cut so that a block holds at most this
 # many receiver-candidate pairs, or a single row.
 ROW_CHUNK_PAIRS = 1 << 18
@@ -113,9 +116,48 @@ class UniformGridIndex:
         cell_ptr, candidates = self.candidate_table(radius)
         return candidates[cell_ptr[slot]:cell_ptr[slot + 1]]
 
+    def blocks(self, slots, radius: float):
+        """Yield (receivers, candidates) point index blocks for cells `slots`.
+
+        Each receiver of the cells lands in exactly one block, whose
+        candidates are ascending and hold every indexed point within
+        `radius` of it. A cell whose receivers times candidates exceed
+        BLOCK_PAIRS is split by half-cell octant: each octant's receivers
+        keep the candidates within ceil(radius / half cell) half cells of
+        their own, as a half-size grid would list them, cut from the
+        ascending list by a mask. Blocks above ROW_CHUNK_PAIRS pairs are
+        then cut into row chunks, or single rows. Rows are independent,
+        so a per-receiver result does not depend on the split.
+        """
+        half = self.cell_size / 2.0
+        reach = math.ceil(radius / half)
+        pts = self.cloud.points
+        for slot in slots:
+            recv = self.cell_points(slot)
+            cand = self.cell_candidates(slot, radius)
+            parts = [(recv, cand)]
+            if len(recv) * len(cand) > BLOCK_PAIRS:
+                hr = np.floor((pts[recv] - self.origin) / half).astype(np.int64)
+                hc = np.floor((pts[cand] - self.origin) / half).astype(np.int64)
+                octant = (hr & 1) @ np.array([4, 2, 1])
+                parts = []
+                for o in np.unique(octant):
+                    sel = octant == o
+                    lo = hr[sel].min(axis=0) - reach
+                    hi = hr[sel].max(axis=0) + reach
+                    parts.append((recv[sel], cand[((hc >= lo) & (hc <= hi)).all(axis=1)]))
+            for recv, cand in parts:
+                rows = max(1, ROW_CHUNK_PAIRS // len(cand))
+                for a in range(0, len(recv), rows):
+                    yield recv[a:a + rows], cand
+
 
 def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
-    """Bin all points of the cloud into a uniform grid."""
+    """Bin all points of the cloud into a uniform grid.
+
+    Cell keys are int64, so a cloud whose bounding box spans 2**63 cells
+    or more raises CurbmapError.
+    """
     if not cell_size > 0:
         raise ValueError(f"cell_size must be positive, got {cell_size}")
     pts = cloud.points
@@ -124,8 +166,13 @@ def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
         return UniformGridIndex(cloud, float(cell_size), np.zeros(3),
                                 np.zeros(3, dtype=np.int64), zero, zero, zero, zero)
     origin = pts.min(axis=0)
+    extent = pts.max(axis=0) - origin
+    spans = np.floor(extent / cell_size) + 1
+    if not (spans < 2.0 ** 63).all() or math.prod(int(d) for d in spans) >= 2 ** 63:
+        raise CurbmapError(f"extent {tuple(extent.tolist())} at cell size {cell_size} "
+                           f"needs 2**63 or more grid cells")
     cc = np.floor((pts - origin) / cell_size).astype(np.int64)
-    dims = cc.max(axis=0) + 1
+    dims = spans.astype(np.int64)
     keys = (cc[:, 0] * dims[1] + cc[:, 1]) * dims[2] + cc[:, 2]
     order = np.argsort(keys, kind="stable")
     cell_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
@@ -151,21 +198,14 @@ def radius_neighbors(index: UniformGridIndex, radius: float) -> np.ndarray:
     """For every indexed point, how many indexed points lie within `radius`.
 
     The point itself and exact duplicates count; the boundary is
-    inclusive. Each cell's receivers are counted against the cell's
-    candidate list in row chunks of at most ROW_CHUNK_PAIRS pairs, or
-    one row.
+    inclusive. Receivers are counted against their candidates block by
+    block, over `index.blocks`.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     coords = np.ascontiguousarray(index.cloud.points.T)
     counts = np.zeros(len(index.cloud), dtype=np.int64)
     r2 = radius * radius
-    for slot in range(index.cell_count):
-        recv = index.cell_points(slot)
-        cand = index.cell_candidates(slot, radius)
-        cp = coords[:, cand]
-        rows = max(1, ROW_CHUNK_PAIRS // len(cand))
-        for a in range(0, len(recv), rows):
-            chunk = recv[a:a + rows]
-            counts[chunk] = _count_block(coords[:, chunk], cp, r2)
+    for recv, cand in index.blocks(range(index.cell_count), radius):
+        counts[recv] = _count_block(coords[:, recv], coords[:, cand], r2)
     return counts

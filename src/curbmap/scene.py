@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .semantic import ClassifyParams, SemanticGrid, SemanticLabel
+from .semantic import ClassifyParams, SemanticGrid, label_cells
 
 TRUTH_ROAD = 0.0
 TRUTH_SIDEWALK = 1.0
@@ -190,38 +190,12 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
 def truth_grid(cloud: PointCloud, spec: SceneSpec, params: ClassifyParams) -> SemanticGrid:
     """Reference semantic grid from truth labels and true ground heights.
 
-    Applies the classifier's rule structure to ideal knowledge: true
-    per-point elevations instead of the DEM, truth curb membership
-    instead of detection, truth surface classes instead of ground
-    candidates. Grid placement mirrors classify_cells.
+    Applies the classifier's rules to ideal knowledge: true per-point
+    elevations instead of the DEM, truth curb membership instead of
+    detection, truth surface classes instead of ground candidates.
     """
     pts = cloud.points
     truth = cloud.channel("truth")
-    cell = params.cell
-    x0 = float(np.floor(pts[:, 0].min() / cell) * cell)
-    y0 = float(np.floor(pts[:, 1].min() / cell) * cell)
-    col = np.floor((pts[:, 0] - x0) / cell).astype(np.int64)
-    row = np.floor((pts[:, 1] - y0) / cell).astype(np.int64)
-    nrows, ncols = int(row.max()) + 1, int(col.max()) + 1
-    flat = row * ncols + col
-    ncells = nrows * ncols
-
-    above = pts[:, 2] - true_ground_height(spec, pts[:, :2])
-    counts = np.bincount(flat, minlength=ncells)
-    curb = np.zeros(ncells, dtype=bool)
-    curb[flat[truth == TRUTH_CURB]] = True
-    ground_count = np.bincount(flat[(truth == TRUTH_ROAD) | (truth == TRUTH_SIDEWALK)],
-                               minlength=ncells)
-    high_count = np.bincount(flat[above > params.robot_height], minlength=ncells)
-    max_above = np.full(ncells, -np.inf)
-    np.maximum.at(max_above, flat, above)
-
-    labels = np.full(ncells, int(SemanticLabel.UNKNOWN), dtype=np.uint8)
-    enough = counts >= params.min_points
-    labels[enough & (2 * ground_count > counts) & (max_above <= params.road_tolerance)] = int(SemanticLabel.ROAD)
-    labels[enough & (max_above > params.road_tolerance) & (max_above <= params.robot_height)] = int(SemanticLabel.OBSTACLE)
-    labels[enough & (high_count > params.wall_point_threshold)] = int(SemanticLabel.WALL_VEHICLE)
-    labels[enough & curb] = int(SemanticLabel.ROAD_CURB)
-    return SemanticGrid((x0, y0), float(cell), labels.reshape(nrows, ncols),
-                        counts.reshape(nrows, ncols).astype(np.int64),
-                        np.where(counts > 0, max_above, np.nan).reshape(nrows, ncols))
+    return label_cells(pts[:, :2], pts[:, 2] - true_ground_height(spec, pts[:, :2]),
+                       np.ones(len(pts), dtype=bool), truth == TRUTH_CURB,
+                       (truth == TRUTH_ROAD) | (truth == TRUTH_SIDEWALK), params)

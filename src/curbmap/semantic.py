@@ -21,7 +21,7 @@ from enum import IntEnum
 import numpy as np
 
 from .cloud import PointCloud
-from .dem import DemGrid, ground_heights
+from .dem import DemGrid, bin_cells, ground_heights, snapped_origin
 from .errors import FormatError, FrameMismatchError
 
 
@@ -108,28 +108,34 @@ def classify_cells(cloud: PointCloud, dem: DemGrid, curb_indices: np.ndarray,
     if (pts[:, 0].max() < dem.origin[0] or pts[:, 0].min() > dem_x1
             or pts[:, 1].max() < dem.origin[1] or pts[:, 1].min() > dem_y1):
         raise FrameMismatchError("cloud extent is disjoint from the DEM extent")
+    height, known = ground_heights(dem, pts[:, :2])
+    return label_cells(pts[:, :2], pts[:, 2] - height, known,
+                       np.asarray(curb_indices, dtype=np.int64),
+                       np.asarray(ground_indices, dtype=np.int64), params)
 
+
+def label_cells(xy: np.ndarray, above: np.ndarray, known: np.ndarray, curb, ground,
+                params: ClassifyParams) -> SemanticGrid:
+    """Bin points into cells and label each cell by the priority rules.
+
+    xy (n, 2) places the points on a grid whose origin is their min
+    corner snapped to the cell size. above is each point's height over
+    the ground, read only where `known`. curb and ground select points,
+    as indices or a boolean mask: curb evidence and road-surface
+    evidence.
+    """
     cell = params.cell
-    x0 = float(np.floor(pts[:, 0].min() / cell) * cell)
-    y0 = float(np.floor(pts[:, 1].min() / cell) * cell)
-    col = np.floor((pts[:, 0] - x0) / cell).astype(np.int64)
-    row = np.floor((pts[:, 1] - y0) / cell).astype(np.int64)
-    nrows = int(row.max()) + 1
-    ncols = int(col.max()) + 1
+    x0, y0 = snapped_origin(xy, cell)
+    row, col = bin_cells(xy, (x0, y0), cell)
+    nrows, ncols = int(row.max()) + 1, int(col.max()) + 1
     flat = row * ncols + col
     ncells = nrows * ncols
 
     counts = np.bincount(flat, minlength=ncells)
-
     curb_cells = np.zeros(ncells, dtype=bool)
-    curb_indices = np.asarray(curb_indices, dtype=np.int64)
-    curb_cells[flat[curb_indices]] = True
+    curb_cells[flat[curb]] = True
+    ground_count = np.bincount(flat[ground], minlength=ncells)
 
-    ground_count = np.bincount(flat[np.asarray(ground_indices, dtype=np.int64)],
-                               minlength=ncells)
-
-    ground, known = ground_heights(dem, pts[:, :2])
-    above = pts[:, 2] - ground
     kflat = flat[known]
     high_count = np.bincount(kflat[above[known] > params.robot_height], minlength=ncells)
     max_above = np.full(ncells, -np.inf)

@@ -18,15 +18,11 @@ ascending neighbor index order with a single fixed reduction primitive
 grid cell sizes, and equal to the double-loop reference in
 tests/oracles.py.
 
-How work is cut into blocks does not touch that order. The vote runs
-each index cell's receivers against the cell's candidate list.
-A cell whose block exceeds _BLOCK_PAIRS pairs is split by half-cell
-octant: each octant's receivers keep the candidates within
-ceil(cutoff / half cell) half cells of their own, as a half-size grid
-would list them. That subset still holds every in-radius neighbor, and
-it is cut from the ascending list by a mask, so it stays ascending. Any
-block still above _ROW_CHUNK_BLOCKS * _BLOCK_PAIRS pairs is cut into row
-chunks, and rows are independent. Each receiver therefore hands
+How work is cut into blocks does not touch that order. The vote walks
+`UniformGridIndex.blocks`: each index cell's receivers against the
+cell's ascending candidate list, dense cells split by half-cell octant
+and large blocks cut into row chunks. Every block lists all in-radius
+candidates of its receivers in ascending order, so each receiver hands
 reduceat the same values in the same order whatever the split.
 """
 
@@ -41,15 +37,12 @@ import numpy as np
 from . import eigen
 from .cloud import PointCloud
 from .errors import EmptyInputError
-from .neighbors import ROW_CHUNK_PAIRS, UniformGridIndex, build_index
+from .neighbors import UniformGridIndex, build_index
 
 # Default cutoff multiplier: decay drops below 1e-3 past sigma*sqrt(ln 1000).
 CUTOFF_SIGMAS = math.sqrt(math.log(1000.0))
 
-_CELL_BATCH = 48       # grid cells per parallel task
-_BLOCK_PAIRS = 1 << 16  # cell blocks above this many pairs split by octant
-# blocks above this many _BLOCK_PAIRS split into row chunks
-_ROW_CHUNK_BLOCKS = ROW_CHUNK_PAIRS // _BLOCK_PAIRS
+_CELL_BATCH = 48  # grid cells per parallel task
 
 
 @dataclass(frozen=True)
@@ -148,43 +141,6 @@ def _reduce_block(rp, cp, r2: float, s2: float) -> np.ndarray:
     return out
 
 
-def _vote_block(coords, recv, cand, r2, s2, out):
-    """Vote receivers `recv` against candidates `cand` in bounded row chunks.
-
-    Each chunk holds at most _ROW_CHUNK_BLOCKS * _BLOCK_PAIRS pairs, or a
-    single receiver row. Rows are independent, so chunking never changes
-    the output.
-    """
-    cp = coords[:, cand]
-    rows = max(1, (_ROW_CHUNK_BLOCKS * _BLOCK_PAIRS) // max(len(cand), 1))
-    for a in range(0, len(recv), rows):
-        chunk = recv[a:a + rows]
-        out[chunk] = _reduce_block(coords[:, chunk], cp, r2, s2)
-
-
-def _vote_grid_cells(coords, index, slots, r2, s2, cutoff, out):
-    """Vote the receivers of index cells `slots`, splitting dense cells."""
-    half = index.cell_size / 2.0
-    reach = math.ceil(cutoff / half)
-    for slot in slots:
-        recv = index.cell_points(slot)
-        cand = index.cell_candidates(slot, cutoff)
-        if len(recv) * len(cand) <= _BLOCK_PAIRS:
-            _vote_block(coords, recv, cand, r2, s2, out)
-            continue
-        # Dense cell: one sub-block per half-cell octant, each against the
-        # candidates a half-size grid would list for it, still ascending.
-        hr = np.floor((coords[:, recv].T - index.origin) / half).astype(np.int64)
-        hc = np.floor((coords[:, cand].T - index.origin) / half).astype(np.int64)
-        octant = (hr & 1) @ np.array([4, 2, 1])
-        for o in np.unique(octant):
-            sel = octant == o
-            lo = hr[sel].min(axis=0) - reach
-            hi = hr[sel].max(axis=0) + reach
-            near = ((hc >= lo) & (hc <= hi)).all(axis=1)
-            _vote_block(coords, recv[sel], cand[near], r2, s2, out)
-
-
 def sparse_vote(
     cloud: PointCloud,
     index: UniformGridIndex,
@@ -205,19 +161,19 @@ def sparse_vote(
     s2 = params.sigma * params.sigma
     out = np.zeros((n, 6))
 
+    def vote_cells(batch):
+        for recv, cand in index.blocks(batch, params.cutoff):
+            out[recv] = _reduce_block(coords[:, recv], coords[:, cand], r2, s2)
+
     index.candidate_table(params.cutoff)  # materialize once, shared read-only
     slots = range(index.cell_count)
-    tasks = [
-        (lambda batch=slots[a:a + _CELL_BATCH]: _vote_grid_cells(
-            coords, index, batch, r2, s2, params.cutoff, out))
-        for a in range(0, index.cell_count, _CELL_BATCH)
-    ]
+    batches = [slots[a:a + _CELL_BATCH] for a in range(0, index.cell_count, _CELL_BATCH)]
     if threads <= 1:
-        for task in tasks:
-            task()
+        for batch in batches:
+            vote_cells(batch)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(lambda task: task(), tasks):
+            for _ in pool.map(vote_cells, batches):
                 pass
     if params.include_self:
         out[:, (0, 3, 5)] += 1.0

@@ -4,7 +4,8 @@ Everything here is deliberately written against the math, not against
 the production code paths: a pivot-driven scalar Jacobi eigensolver, a
 spherical-quadrature realization of the ball vote as an integral of
 rotated stick votes, a plain double-loop voting pass, a linear-scan
-radius query and the per-candidate outlier filter built on it. The only
+radius query and the per-candidate outlier filter built on it, and a
+per-cell loop of lower medians for the DEM grids. The only
 shared primitive is np.add.reduceat, whose per-segment reduction is the
 pipeline's documented deterministic summation.
 
@@ -22,6 +23,7 @@ import math
 import numpy as np
 
 from curbmap import ParseError, ParseSummary, PointCloud
+from curbmap.dem import NODATA
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -161,6 +163,28 @@ def reference_outlier_removal(cloud: PointCloud, candidates, radius: float,
         found, _ = brute_force_neighbors(sub, sub.points[k], radius)
         keep[k] = len(found) - 1 >= min_neighbors
     return candidates[keep]
+
+
+def reference_median_grid(xy, values, weights, origin, cell: float):
+    """One cell at a time: the reference for `dem._median_grid`.
+
+    Returns (heights, counts, valid) with the same meaning: each cell's
+    ceil(n/2)-th smallest value (NODATA when empty), the sum of its
+    weights, and whether it holds a value.
+    """
+    col = np.floor((xy[:, 0] - origin[0]) / cell).astype(np.int64)
+    row = np.floor((xy[:, 1] - origin[1]) / cell).astype(np.int64)
+    nrows, ncols = int(row.max()) + 1, int(col.max()) + 1
+    heights = np.full((nrows, ncols), NODATA)
+    counts = np.zeros((nrows, ncols), dtype=np.int64)
+    key = row * ncols + col
+    order = np.argsort(key, kind="stable")
+    for seg in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        r, c = int(row[seg[0]]), int(col[seg[0]])
+        k = (len(seg) - 1) // 2
+        heights[r, c] = float(np.partition(values[seg], k)[k])
+        counts[r, c] = int(weights[seg].sum())
+    return heights, counts, counts > 0
 
 
 def matrices_to_sym(m: np.ndarray) -> np.ndarray:

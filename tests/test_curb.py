@@ -132,12 +132,15 @@ class TestOutlierRemoval:
         duplicates=st.lists(st.integers(0, 71), max_size=8),
         stride=st.integers(1, 3),
         min_neighbors=st.integers(1, 8),
+        block_pairs=st.integers(1, 64),
     )
     def test_batched_matches_reference(self, lattice, free, duplicates, stride,
-                                       min_neighbors):
+                                       min_neighbors, block_pairs):
         # Lattice points are multiples of the 0.25 m radius: axis neighbours
         # lie exactly one radius apart, on index cell boundaries when no
         # free point moves the origin, and repeats are exact duplicates.
+        # Small block bounds make the count split cells by octant and cut
+        # row chunks.
         radius = 0.25
         points = np.array(lattice, dtype=float) * radius
         if free:
@@ -145,7 +148,10 @@ class TestOutlierRemoval:
         points = np.concatenate([points, points[[d % len(points) for d in duplicates]]])
         cloud = PointCloud(points)
         candidates = np.arange(0, len(points), stride)
-        kept = outlier_removal(cloud, candidates, radius, min_neighbors)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neighbors, "BLOCK_PAIRS", block_pairs)
+            patch.setattr(neighbors, "ROW_CHUNK_PAIRS", 4 * block_pairs)
+            kept = outlier_removal(cloud, candidates, radius, min_neighbors)
         expected = reference_outlier_removal(cloud, candidates, radius, min_neighbors)
         assert np.array_equal(kept, expected)
 
@@ -163,7 +169,7 @@ class TestOutlierRemoval:
         assert kept.tolist() == list(range(3000))
         assert len(seen) > 1 and sum(rows for rows, _ in seen) == 3000
         for rows, cols in seen:
-            assert rows * cols <= 262_144 or rows == 1
+            assert rows * cols <= neighbors.ROW_CHUNK_PAIRS or rows == 1
 
 
 def band_fraction(xs, centers, width=0.3):

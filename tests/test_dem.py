@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curbmap import dem
 from curbmap import (ChannelMissingError, DemGrid, EmptyInputError, GroundParams,
                      PointCloud, VotingParams, build_height_grid,
                      extract_ground_candidates, ground_heights,
                      refine_dem, saliency_field, to_ascii_grid)
 from curbmap.dem import NODATA
 from curbmap.scene import _sample_grid
+
+from oracles import reference_median_grid
 
 
 def field_of_plane(rng, tilt_deg=0.0, half=1.5, density=400.0):
@@ -116,6 +121,32 @@ class TestBuildHeightGrid:
         lifted = build_height_grid(points + np.array([0.0, 0.0, 2.25]), 0.5)
         assert np.allclose(lifted.heights[lifted.valid],
                            base.heights[base.valid] + 2.25, atol=1e-9)
+
+
+class TestMedianGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # cell (col, row) -> 1-4 (value, weight) samples; few distinct
+        # values make ties, and weights above 1 stand for subcell counts
+        cells=st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.lists(st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 2.0]),
+                               st.integers(1, 4)), min_size=1, max_size=4),
+            min_size=1, max_size=10),
+        data=st.data(),
+    )
+    def test_matches_reference(self, cells, data):
+        samples = [(col, row, value, weight)
+                   for (col, row), cell_samples in cells.items()
+                   for value, weight in cell_samples]
+        samples = data.draw(st.permutations(samples))
+        xy = np.array([[(col + 0.5) * 0.5, (row + 0.5) * 0.5] for col, row, _, _ in samples])
+        values = np.array([value for _, _, value, _ in samples])
+        weights = np.array([weight for _, _, _, weight in samples], dtype=np.int64)
+        got = dem._median_grid(xy, values, weights, (0.0, 0.0), 0.5)
+        expected = reference_median_grid(xy, values, weights, (0.0, 0.0), 0.5)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestRefineDem:

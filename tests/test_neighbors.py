@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from curbmap import PointCloud, build_index, radius_neighbors
+from curbmap import (CurbmapError, PointCloud, VotingParams, build_index, radius_neighbors,
+                     sparse_vote)
 
-from oracles import brute_force_neighbors
+from oracles import brute_force_neighbors, double_loop_vote
 
 
 def cloud_of(points):
@@ -46,6 +47,33 @@ class TestBuildIndex:
 def brute_force_counts(cloud, radius):
     return np.array([len(brute_force_neighbors(cloud, p, radius)[0]) for p in cloud.points],
                     dtype=np.int64)
+
+
+def with_far_point(far):
+    """200 points in [0, 2]^3 plus one at (far, far, far)."""
+    points = np.random.default_rng(5).uniform(0, 2, size=(200, 3))
+    return cloud_of(np.vstack([points, [far, far, far]]))
+
+
+class TestCellKeyRange:
+    """Cell keys are int64, so the grid must have fewer than 2**63 cells."""
+
+    # 1e7: 2.0e21 cells, whose wrapped keys left cells without candidates;
+    # 1e12: keys wrapped onto other cells; 1e30: the int64 cast itself fails.
+    @pytest.mark.parametrize("far", [1e7, 1e12, 1e30])
+    def test_too_many_cells_rejected(self, far):
+        with pytest.raises(CurbmapError, match=r"extent .* cell size 0\.788"):
+            build_index(with_far_point(far), 0.788)
+
+    def test_below_the_limit_matches_references(self):
+        # 1.27e6 cells a side, 2.0e18 in all: below 2**63
+        cloud = with_far_point(1e6)
+        params = VotingParams(sigma=0.5, cutoff=0.788)
+        index = build_index(cloud, params.cutoff)
+        assert np.array_equal(radius_neighbors(index, params.cutoff),
+                              brute_force_counts(cloud, params.cutoff))
+        assert np.array_equal(sparse_vote(cloud, index, params),
+                              double_loop_vote(cloud.points, params.sigma, params.cutoff))
 
 
 class TestRadiusNeighbors:

@@ -113,6 +113,12 @@ class TestRunPipeline:
         assert err.value.stage == "dem"
         assert not list(tmp_path.iterdir())
 
+    def test_cell_key_overflow_names_index_stage(self, tmp_path):
+        points = np.vstack([np.random.default_rng(5).uniform(0, 2, (200, 3)), [1e12] * 3])
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config_for(tmp_path), cloud=PointCloud(points))
+        assert err.value.stage == "index"
+
     def test_reads_cloud_from_disk(self, tmp_path, small_cloud):
         path = tmp_path / "scene.xyz"
         path.write_bytes(write_cloud(small_cloud, "xyz"))

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curbmap import (ClassifyParams, FormatError, FrameMismatchError, LABEL_COLORS,
-                     PointCloud, SemanticGrid, SemanticLabel, TRAVERSABILITY,
-                     classify_cells, read_compact, render_raster, write_compact)
+                     PointCloud, SceneSpec, SemanticGrid, SemanticLabel, TRAVERSABILITY,
+                     classify_cells, read_compact, render_raster, truth_grid,
+                     write_compact)
 from curbmap.dem import DemGrid
+from curbmap.scene import (TRUTH_CANOPY, TRUTH_CURB, TRUTH_ROAD, TRUTH_SIDEWALK,
+                           TRUTH_WALL)
 
 
 def flat_dem(size=12, cell=1.0, height=0.0):
@@ -131,6 +134,34 @@ class TestClassifyRules:
                                rng.uniform(0, 2, 400)])
         grid = classify(pts, ground=range(0, 400, 3))
         assert (grid.labels <= max(SemanticLabel)).all()
+
+
+class TestTruthGrid:
+    def test_hand_built_cells(self):
+        # true ground is 0 on the road (|x| < 3) and 0.15 on the sidewalk
+        groups = [  # (cell x, cell y, z, points, truth class)
+            (0, 0, 0.02, 6, TRUTH_ROAD),
+            (1, 0, 0.10, 3, TRUTH_CURB), (1, 0, 0.02, 3, TRUTH_ROAD),
+            (2, 0, 1.80, 12, TRUTH_WALL),
+            (4, 0, 0.17, 6, TRUTH_SIDEWALK),
+            (0, 2, 0.50, 6, TRUTH_CANOPY),
+            (1, 2, 0.02, 2, TRUTH_ROAD),
+            (3, 2, 1.80, 10, TRUTH_WALL),   # not more than wall_point_threshold
+        ]
+        points = [p for cx, cy, z, n, _ in groups for p in cell_points(cx, cy, z, n)]
+        truth = np.concatenate([np.full(n, t) for *_, n, t in groups])
+        cloud = PointCloud(np.array(points), {"truth": truth})
+        grid = truth_grid(cloud, SceneSpec(), ClassifyParams(cell=1.0))
+        road, curb, wall, obstacle, unknown = (
+            SemanticLabel.ROAD, SemanticLabel.ROAD_CURB, SemanticLabel.WALL_VEHICLE,
+            SemanticLabel.OBSTACLE, SemanticLabel.UNKNOWN)
+        assert grid.origin == (0.0, 0.0)
+        assert grid.labels.tolist() == [[road, curb, wall, unknown, road],
+                                        [unknown] * 5,
+                                        [obstacle, unknown, unknown, unknown, unknown]]
+        assert grid.counts.tolist() == [[6, 6, 12, 0, 6], [0] * 5, [6, 2, 0, 10, 0]]
+        assert grid.max_height[0, 4] == pytest.approx(0.02)
+        assert np.isnan(grid.max_height[1]).all()
 
 
 class TestRenderRaster:

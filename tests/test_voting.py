@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from curbmap import (EmptyInputError, PointCloud, VotingParams, build_index, decay,
                      decompose_batch, saliencies, saliency_field, sparse_vote)
-from curbmap import voting
+from curbmap import neighbors, voting
 from curbmap.eigen import sym_to_matrices
 from curbmap.scene import _sample_grid
 from curbmap.voting import CUTOFF_SIGMAS
@@ -194,7 +194,7 @@ def block_spy(monkeypatch):
 
 def assert_blocks_bounded(seen):
     # a block never exceeds the row-chunk bound unless it is a single row
-    bound = voting._ROW_CHUNK_BLOCKS * voting._BLOCK_PAIRS
+    bound = neighbors.ROW_CHUNK_PAIRS
     assert seen
     for rows, cols in seen:
         assert rows * cols <= bound or rows == 1
@@ -208,7 +208,7 @@ class TestSplitBlocks:
     @pytest.fixture
     def dense(self, rng):
         # 27 cutoff cells of ~100 points: every cell block is well above
-        # _BLOCK_PAIRS, the centre one (100 x 2,700) four times over
+        # BLOCK_PAIRS, the centre one (100 x 2,700) four times over
         return rng.uniform(0, 1.5, size=(2700, 3))
 
     def test_dense_cells_split_and_match_oracle(self, dense, monkeypatch):
@@ -217,7 +217,7 @@ class TestSplitBlocks:
         expected = double_loop_vote(dense, self.PARAMS.sigma, cutoff)
         index = build_index(cloud, cutoff)
         assert max(len(index.cell_points(s)) * len(index.cell_candidates(s, cutoff))
-                   for s in range(index.cell_count)) > 4 * voting._BLOCK_PAIRS
+                   for s in range(index.cell_count)) > 4 * neighbors.BLOCK_PAIRS
         seen = block_spy(monkeypatch)
         for threads in (1, 2, 4):
             seen.clear()
@@ -231,7 +231,7 @@ class TestSplitBlocks:
 
     def test_block_memory_bounded(self, dense, monkeypatch):
         cloud = cloud_of(dense)
-        assert len(cloud) <= voting._ROW_CHUNK_BLOCKS * voting._BLOCK_PAIRS
+        assert len(cloud) <= neighbors.ROW_CHUNK_PAIRS
         seen = block_spy(monkeypatch)
         sparse_vote(cloud, build_index(cloud, self.PARAMS.cutoff), self.PARAMS)
         assert_blocks_bounded(seen)
@@ -240,7 +240,7 @@ class TestSplitBlocks:
         assert_blocks_bounded(seen)
         # a row of the one-cell index holds every point: the chunks stay
         # within the bound because this cloud is smaller than it
-        assert max(rows * cols for rows, cols in seen) > voting._BLOCK_PAIRS
+        assert max(rows * cols for rows, cols in seen) > neighbors.BLOCK_PAIRS
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -265,7 +265,8 @@ class TestSplitBlocks:
         params = VotingParams(sigma=0.5, cutoff=1.0)
         expected = double_loop_vote(points, params.sigma, params.cutoff)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(voting, "_BLOCK_PAIRS", block_pairs)
+            patch.setattr(neighbors, "BLOCK_PAIRS", block_pairs)
+            patch.setattr(neighbors, "ROW_CHUNK_PAIRS", 4 * block_pairs)
             seen = block_spy(patch)
             via_grid = sparse_vote(cloud, build_index(cloud, scale), params, threads=threads)
             via_one_cell = grid_vote(points, params, ONE_CELL, threads=threads)
