@@ -41,6 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dem", help="write the refined DEM (ASCII grid) here")
     p.add_argument("--out-raster", help="write the semantic raster (P6 pixmap) here")
     p.add_argument("--out-grid", help="write the compact semantic grid (SGRD) here")
+    p.add_argument("--report", metavar="PATH",
+                   help="write the run report (stage seconds, counts, peak RSS) as JSON here")
     p.add_argument("--gen-scene", metavar="SPEC",
                    help="generate a synthetic scene from SPEC and write it to --out-cloud")
     p.add_argument("--write-default-config", action="store_true",
@@ -96,6 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         result = run_pipeline(config)
         for line in result.timing.lines():
             print(line)
+        if args.report:
+            Path(args.report).write_text(result.timing.to_json() + "\n")
         for path in result.written:
             print(f"wrote: {path}")
         return 0

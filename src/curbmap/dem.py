@@ -23,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, format_float_rows
-from .errors import EmptyInputError
+from .errors import CurbmapError, EmptyInputError
 
 NODATA = -9999.0
+# Largest 2D grid a DEM or label grid may allocate, in cells.
+MAX_GRID_CELLS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,23 @@ def snapped_origin(xy: np.ndarray, cell: float) -> tuple[float, float]:
             float(np.floor(xy[:, 1].min() / cell) * cell))
 
 
+def grid_shape(xy: np.ndarray, origin, cell: float) -> tuple[int, int]:
+    """(nrows, ncols) of the grid of `cell` cells from `origin` holding every xy.
+
+    Raises CurbmapError, naming the xy extent and the cell size, when
+    the grid would exceed MAX_GRID_CELLS. The check runs on the float
+    spans, before any grid array exists.
+    """
+    top = xy.max(axis=0)
+    spans = np.floor((top - np.asarray(origin)) / cell) + 1
+    if not spans[0] * spans[1] <= MAX_GRID_CELLS:
+        extent = top - xy.min(axis=0)
+        raise CurbmapError(f"xy extent {extent[0]:g} x {extent[1]:g} m at cell size {cell:g} m "
+                           f"needs {spans[1]:.0f} x {spans[0]:.0f} grid cells, "
+                           f"more than {MAX_GRID_CELLS}")
+    return int(spans[1]), int(spans[0])
+
+
 def _median_grid(xy, values, weights, origin, cell: float):
     """Per-cell lower median of values; returns (heights, counts, valid).
 
@@ -117,9 +136,10 @@ def _median_grid(xy, values, weights, origin, cell: float):
     weights carries a sample count per value (1 for raw points, the
     subcell population when aggregating a finer grid); counts is its
     per-cell sum. A cell is valid when it holds at least one value.
+    Raises CurbmapError when the grid is too large (see grid_shape).
     """
+    nrows, ncols = grid_shape(xy, origin, cell)
     row, col = bin_cells(xy, origin, cell)
-    nrows, ncols = int(row.max()) + 1, int(col.max()) + 1
     key = row * ncols + col
     order = np.lexsort((values, key))
     cells, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)

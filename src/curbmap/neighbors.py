@@ -125,7 +125,8 @@ class UniformGridIndex:
         BLOCK_PAIRS is split by half-cell octant: each octant's receivers
         keep the candidates within ceil(radius / half cell) half cells of
         their own, as a half-size grid would list them, cut from the
-        ascending list by a mask. Blocks above ROW_CHUNK_PAIRS pairs are
+        ascending list by a boolean mask over the candidates' half-cell
+        box. Blocks above ROW_CHUNK_PAIRS pairs are
         then cut into row chunks, or single rows. Rows are independent,
         so a per-receiver result does not depend on the split.
         """
@@ -139,13 +140,19 @@ class UniformGridIndex:
             if len(recv) * len(cand) > BLOCK_PAIRS:
                 hr = np.floor((pts[recv] - self.origin) / half).astype(np.int64)
                 hc = np.floor((pts[cand] - self.origin) / half).astype(np.int64)
+                # one code per candidate: its half cell within the candidates' box
+                base = hc.min(axis=0)
+                shape = hc.max(axis=0) - base + 1
+                code = np.ravel_multi_index((hc - base).T, shape)
                 octant = (hr & 1) @ np.array([4, 2, 1])
                 parts = []
                 for o in np.unique(octant):
                     sel = octant == o
-                    lo = hr[sel].min(axis=0) - reach
-                    hi = hr[sel].max(axis=0) + reach
-                    parts.append((recv[sel], cand[((hc >= lo) & (hc <= hi)).all(axis=1)]))
+                    lo = np.maximum(hr[sel].min(axis=0) - reach - base, 0)
+                    hi = hr[sel].max(axis=0) + reach - base + 1
+                    box = np.zeros(shape, dtype=bool)
+                    box[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+                    parts.append((recv[sel], cand[box.ravel()[code]]))
             for recv, cand in parts:
                 rows = max(1, ROW_CHUNK_PAIRS // len(cand))
                 for a in range(0, len(recv), rows):

@@ -9,7 +9,9 @@ thread count.
 
 from __future__ import annotations
 
+import json
 import os
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,10 +31,15 @@ STAGES = ("parse", "crop", "index", "vote", "decompose", "dem", "curb", "grid", 
 
 @dataclass
 class TimingReport:
-    """Wall time per stage plus point counts flowing through the filters."""
+    """Wall time per stage, point counts flowing through the filters, peak memory.
+
+    peak_rss_mb is the process's peak resident set size in MiB, read
+    when the run ends.
+    """
 
     seconds: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
+    peak_rss_mb: float = 0.0
 
     @property
     def total(self) -> float:
@@ -43,7 +50,15 @@ class TimingReport:
                for stage in STAGES if stage in self.seconds]
         out.append(f"time_total_s: {self.total:.6f}")
         out += [f"{key}: {value}" for key, value in self.counts.items()]
+        out.append(f"peak_rss_mb: {self.peak_rss_mb:.1f}")
         return out
+
+    def to_json(self) -> str:
+        """The report as a JSON object: seconds, total_s, counts, peak_rss_mb."""
+        return json.dumps({"seconds": {stage: self.seconds[stage]
+                                       for stage in STAGES if stage in self.seconds},
+                           "total_s": self.total, "counts": self.counts,
+                           "peak_rss_mb": self.peak_rss_mb}, indent=2)
 
     def __str__(self) -> str:
         return "\n".join(self.lines())
@@ -149,6 +164,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             except OSError:
                 pass
         raise PipelineError(clock.stage, exc) from exc
+    report.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return PipelineResult(report, cloud, refined, detection, grid, written)
 
 

@@ -21,7 +21,7 @@ from enum import IntEnum
 import numpy as np
 
 from .cloud import PointCloud
-from .dem import DemGrid, bin_cells, ground_heights, snapped_origin
+from .dem import DemGrid, bin_cells, grid_shape, ground_heights, snapped_origin
 from .errors import FormatError, FrameMismatchError
 
 
@@ -122,12 +122,13 @@ def label_cells(xy: np.ndarray, above: np.ndarray, known: np.ndarray, curb, grou
     corner snapped to the cell size. above is each point's height over
     the ground, read only where `known`. curb and ground select points,
     as indices or a boolean mask: curb evidence and road-surface
-    evidence.
+    evidence. Raises CurbmapError when the grid is too large (see
+    dem.grid_shape).
     """
     cell = params.cell
     x0, y0 = snapped_origin(xy, cell)
+    nrows, ncols = grid_shape(xy, (x0, y0), cell)
     row, col = bin_cells(xy, (x0, y0), cell)
-    nrows, ncols = int(row.max()) + 1, int(col.max()) + 1
     flat = row * ncols + col
     ncells = nrows * ncols
 

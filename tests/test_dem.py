@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curbmap import dem
-from curbmap import (ChannelMissingError, DemGrid, EmptyInputError, GroundParams,
+from curbmap import (ChannelMissingError, CurbmapError, DemGrid, EmptyInputError, GroundParams,
                      PointCloud, VotingParams, build_height_grid,
                      extract_ground_candidates, ground_heights,
                      refine_dem, saliency_field, to_ascii_grid)
@@ -147,6 +149,39 @@ class TestMedianGrid:
         expected = reference_median_grid(xy, values, weights, (0.0, 0.0), 0.5)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestGridShape:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        xy=st.lists(st.tuples(*[st.floats(-50.0, 50.0, allow_nan=False)] * 2),
+                    min_size=1, max_size=20),
+        cell=st.sampled_from([0.12, 0.5, 1.0, 0.3]),
+    )
+    def test_holds_every_binned_point(self, xy, cell):
+        xy = np.array(xy)
+        origin = dem.snapped_origin(xy, cell)
+        row, col = dem.bin_cells(xy, origin, cell)
+        assert dem.grid_shape(xy, origin, cell) == (int(row.max()) + 1, int(col.max()) + 1)
+
+    def test_limit_is_inclusive(self):
+        # a 4,096 x 8,192 grid holds exactly MAX_GRID_CELLS; one more column fails
+        assert 4096 * 8192 == dem.MAX_GRID_CELLS
+        xy = np.array([[0.5, 0.5], [8191.5, 4095.5]])
+        assert dem.grid_shape(xy, (0.0, 0.0), 1.0) == (4096, 8192)
+        with pytest.raises(CurbmapError, match="4096 x 8193 grid cells"):
+            dem.grid_shape(xy + [[0.0, 0.0], [1.0, 0.0]], (0.0, 0.0), 1.0)
+
+    def test_far_point_refused_before_allocation(self):
+        xy = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 0.2], [1e4, 1e4]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CurbmapError, match=r"extent 10000 x 10000 m at cell size 0.5 m"):
+                build_height_grid(np.column_stack([xy, np.zeros(4)]), 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16   # the 20,000 x 20,000 grid would take 3.2 GB
 
 
 class TestRefineDem:

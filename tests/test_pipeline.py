@@ -1,14 +1,16 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curbmap import (CropBox, PipelineConfig, PipelineError, PointCloud, SceneSpec,
-                     detect_curbs, generate_scene, read_compact, run_pipeline,
+from curbmap import (CropBox, CurbmapError, PipelineConfig, PipelineError, PointCloud,
+                     SceneSpec, detect_curbs, generate_scene, read_compact, run_pipeline,
                      saliency_field, write_cloud)
 from curbmap import cli
 from curbmap.cli import main
+from curbmap.pipeline import STAGES
 from curbmap.scene import curb_face_distance
 
 SMALL_SPEC = SceneSpec(extent=10.0, road_width=5.0, wall_x=(4.0,),
@@ -119,6 +121,17 @@ class TestRunPipeline:
             run_pipeline(config_for(tmp_path), cloud=PointCloud(points))
         assert err.value.stage == "index"
 
+    def test_far_point_grid_refused(self, tmp_path, street_cloud):
+        # one lone point 10 km off the street: a 0.12 m label grid over
+        # both would need about 7e9 cells
+        points = np.vstack([street_cloud.points, [[1e4, 1e4, 0.0]]])
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config_for(tmp_path), cloud=PointCloud(points))
+        assert err.value.stage == "grid"
+        assert isinstance(err.value.cause, CurbmapError)
+        assert "at cell size 0.12 m" in str(err.value)
+        assert not list(tmp_path.iterdir())
+
     def test_reads_cloud_from_disk(self, tmp_path, small_cloud):
         path = tmp_path / "scene.xyz"
         path.write_bytes(write_cloud(small_cloud, "xyz"))
@@ -164,6 +177,22 @@ class TestCli:
         grid = read_compact(grid_file.read_bytes())
         assert grid.labels.size > 1000
         assert raster_file.read_bytes().startswith(b"P6\n")
+
+    def test_report_json(self, tmp_path, small_cloud, capsys):
+        path = tmp_path / "scene.xyz"
+        path.write_bytes(write_cloud(small_cloud, "xyz"))
+        report = tmp_path / "run.json"
+        assert main(["--input", str(path), "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert list(data["seconds"]) == list(STAGES)
+        assert all(value >= 0.0 for value in data["seconds"].values())
+        assert data["total_s"] == pytest.approx(sum(data["seconds"].values()))
+        assert data["counts"]["parse_points"] == len(small_cloud)
+        assert set(data["counts"]) >= {"parse_rejected", "crop_points", "ground_candidates",
+                                       "curb_plate_candidates", "curb_height_gated",
+                                       "curb_points", "grid_cells"}
+        assert data["peak_rss_mb"] > 0.0
+        assert f"peak_rss_mb: {data['peak_rss_mb']:.1f}" in capsys.readouterr().out
 
     def test_gen_scene_requires_out_cloud(self, tmp_path, capsys):
         spec_file = tmp_path / "scene.cfg"

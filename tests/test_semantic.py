@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curbmap import (ClassifyParams, FormatError, FrameMismatchError, LABEL_COLORS,
+from curbmap import (ClassifyParams, CurbmapError, FormatError, FrameMismatchError, LABEL_COLORS,
                      PointCloud, SceneSpec, SemanticGrid, SemanticLabel, TRAVERSABILITY,
                      classify_cells, read_compact, render_raster, truth_grid,
                      write_compact)
@@ -162,6 +164,19 @@ class TestTruthGrid:
         assert grid.counts.tolist() == [[6, 6, 12, 0, 6], [0] * 5, [6, 2, 0, 10, 0]]
         assert grid.max_height[0, 4] == pytest.approx(0.02)
         assert np.isnan(grid.max_height[1]).all()
+
+    def test_far_point_refused_before_allocation(self):
+        points = np.array([[0.1, 0.1, 0.0], [1.0, 0.5, 0.0], [0.3, 0.2, 0.0],
+                           [1e4, 1e4, 0.0]])
+        cloud = PointCloud(points, {"truth": np.full(4, TRUTH_ROAD)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CurbmapError, match=r"extent 9999.9 x 9999.9 m at cell size 0.12 m"):
+                truth_grid(cloud, SceneSpec(), ClassifyParams())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16   # the 83,334 x 83,334 grid would take ~190 GB
 
 
 class TestRenderRaster:

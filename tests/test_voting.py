@@ -274,6 +274,54 @@ class TestSplitBlocks:
         assert np.array_equal(via_grid, expected)
         assert np.array_equal(via_one_cell, expected)
 
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_empty_rows_match_oracle(self, threads, monkeypatch):
+        # One block of 9 receivers. The first, middle and last have no
+        # in-radius candidate but themselves, so their rows are empty;
+        # points 2 and 5 are an exact duplicate pair.
+        points = np.array([
+            [0.0, 0.0, 0.0],
+            [4.0, 4.0, 4.0], [4.3, 4.0, 4.0], [4.0, 4.4, 4.1],
+            [8.0, 0.0, 0.0],
+            [4.3, 4.0, 4.0], [4.2, 4.2, 3.8], [4.5, 4.3, 4.2],
+            [0.0, 8.0, 8.0],
+        ])
+        params = VotingParams(sigma=0.5, cutoff=1.0)
+        seen = block_spy(monkeypatch)
+        got = grid_vote(points, params, ONE_CELL, threads=threads)
+        assert seen == [(9, 9)]
+        expected = double_loop_vote(points, params.sigma, params.cutoff)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got[[0, 4, 8]], np.tile([1.0, 0, 0, 1.0, 0, 1.0], (3, 1)))
+
+
+class TestOffsetBuffer:
+    """The kernel's small ufunc buffer is scoped to its offset step."""
+
+    def test_caller_bufsize_survives(self, rng):
+        points = rng.uniform(0, 2, size=(300, 3))
+        params = VotingParams(sigma=0.3)
+        index = build_index(cloud_of(points), ONE_CELL)
+        # receiver 0 and candidate 1 share the one block; their x offset overflows
+        far = points.copy()
+        far[0, 0], far[1, 0] = 1e308, -1e308
+        saved = np.setbufsize(4096)
+        try:
+            for threads in (1, 2):
+                sparse_vote(cloud_of(points), index, params, threads=threads)
+                assert np.getbufsize() == 4096
+            # np.seterr, not np.errstate: leaving an errstate block would
+            # also reset the buffer size and hide a leak
+            errors = np.seterr(over="raise")
+            try:
+                with pytest.raises(FloatingPointError):
+                    sparse_vote(cloud_of(far), index, params, threads=1)
+            finally:
+                np.seterr(**errors)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(saved)
+
 
 def plane_patch(rng, half=1.5, density=450.0, noise=0.01):
     xy = _sample_grid(rng, -half, half, -half, half, density, jitter=0.1)
