@@ -33,8 +33,10 @@ STAGES = ("parse", "crop", "index", "vote", "decompose", "dem", "curb", "grid", 
 class TimingReport:
     """Wall time per stage, point counts flowing through the filters, peak memory.
 
-    peak_rss_mb is the process's peak resident set size in MiB, read
-    when the run ends.
+    counts also holds the label histogram, one grid_<label> entry per
+    SemanticLabel. peak_rss_mb is the process's high-water resident set
+    size in MiB, read when the run ends: in a process that runs several
+    pipelines it is the largest so far, not this run's own.
     """
 
     seconds: dict[str, float] = field(default_factory=dict)
@@ -111,6 +113,10 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             cloud = crop(cloud, config.crop)
         if len(cloud) == 0:
             raise EmptyInputError("no points remain after crop")
+        # refuse an oversized label grid now, not after the vote
+        xy = cloud.points[:, :2]
+        dem_mod.grid_shape(xy, dem_mod.snapped_origin(xy, config.classify.cell),
+                           config.classify.cell)
         clock.stop()
         report.counts["crop_points"] = len(cloud)
 
@@ -124,6 +130,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
 
         clock.start("decompose")
         cloud = voting.attach_saliencies(cloud, tensors)
+        del tensors  # freed before export, where the run peaks in memory
         clock.stop()
 
         clock.start("dem")
@@ -143,6 +150,9 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
                                        ground_idx, config.classify)
         clock.stop()
         report.counts["grid_cells"] = int(grid.labels.size)
+        histogram = np.bincount(grid.labels.ravel(), minlength=len(semantic.SemanticLabel))
+        for label in semantic.SemanticLabel:
+            report.counts[f"grid_{label.name.lower()}"] = int(histogram[label])
 
         clock.start("export")
         if config.out_cloud:

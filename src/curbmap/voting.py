@@ -8,9 +8,9 @@ point p from voter q is
 
 a positive-semidefinite tensor with eigenvalues (decay, decay, 0) whose
 null direction is the connecting line. Accumulated tensors are then
-eigendecomposed; the spectral gaps l1-l2, l2-l3 and l3 are the stick,
-plate and ball saliencies, and the leading eigenvector is the surface
-normal estimate.
+eigendecomposed by LAPACK (np.linalg.eigh); the spectral gaps l1-l2,
+l2-l3 and l3 are the stick, plate and ball saliencies, and the leading
+eigenvector is the surface normal estimate.
 
 Determinism contract: every point's neighbor contributions are summed in
 ascending neighbor index order with a single fixed reduction primitive
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import eigen
 from .cloud import PointCloud
 from .errors import EmptyInputError
 from .neighbors import UniformGridIndex, build_index
@@ -56,6 +55,9 @@ _CELL_BATCH = 48  # grid cells per parallel task
 # runs about 3x faster per element with this buffer than with numpy's
 # default of 8,192; the stages outside the kernel keep the default.
 _OFFSET_BUFSIZE = 128
+# Lower-triangle (row, col) of each tensor component, in the column order
+# (xx, xy, xz, yy, yz, zz); np.linalg.eigh reads only that triangle.
+_LOWER = ((0, 1, 2, 1, 2, 2), (0, 0, 0, 1, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -198,8 +200,30 @@ def sparse_vote(
 
 
 def decompose_batch(t6: np.ndarray):
-    """Eigendecompose (n, 6) tensors. Returns (eigenvalues, eigenvectors)."""
-    return eigen.eig3_batch(t6)
+    """Eigendecompose (n, 6) symmetric tensors with one np.linalg.eigh call.
+
+    Components are in the column order (xx, xy, xz, yy, yz, zz). Returns
+    (eigenvalues (n, 3) sorted descending, eigenvectors (n, 3, 3) with row
+    k the unit eigenvector of eigenvalue k). Each eigenvector is signed so
+    that its largest-magnitude component is positive, the first one on a
+    tie. A repeated eigenvalue has no preferred basis; its rows are then
+    some orthonormal completion. Every tensor is decomposed on its own,
+    so a row's result does not depend on the rest of the batch.
+    """
+    t6 = np.atleast_2d(np.asarray(t6, dtype=np.float64))
+    if not np.isfinite(t6).all():
+        raise ValueError("tensor components must be finite")
+    # each (n, 3, 3) array is freed before the next one is made, which
+    # keeps the peak near three times the eigenvector bytes
+    mats = np.zeros((len(t6), 3, 3))
+    mats[:, _LOWER[0], _LOWER[1]] = t6
+    lam, cols = np.linalg.eigh(mats)  # ascending, eigenvectors in columns
+    del mats
+    vecs = np.ascontiguousarray(cols[:, :, ::-1].swapaxes(1, 2))
+    del cols
+    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=2)[..., None], axis=2)
+    np.negative(vecs, out=vecs, where=lead < 0.0)
+    return lam[:, ::-1].copy(), vecs
 
 
 def saliencies(eigenvalues: np.ndarray):

@@ -187,6 +187,20 @@ def reference_median_grid(xy, values, weights, origin, cell: float):
     return heights, counts, counts > 0
 
 
+def sym_to_matrices(t6: np.ndarray) -> np.ndarray:
+    """(n, 6) component rows -> (n, 3, 3) full symmetric matrices."""
+    t6 = np.atleast_2d(np.asarray(t6, dtype=np.float64))
+    n = t6.shape[0]
+    m = np.empty((n, 3, 3))
+    m[:, 0, 0] = t6[:, 0]
+    m[:, 0, 1] = m[:, 1, 0] = t6[:, 1]
+    m[:, 0, 2] = m[:, 2, 0] = t6[:, 2]
+    m[:, 1, 1] = t6[:, 3]
+    m[:, 1, 2] = m[:, 2, 1] = t6[:, 4]
+    m[:, 2, 2] = t6[:, 5]
+    return m
+
+
 def matrices_to_sym(m: np.ndarray) -> np.ndarray:
     """(n, 3, 3) symmetric matrices -> (n, 6) component rows."""
     m = np.asarray(m, dtype=np.float64)

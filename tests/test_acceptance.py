@@ -15,13 +15,12 @@ from curbmap import (ClassifyParams, PointCloud, SceneSpec, VotingParams,
                      decompose_batch, generate_scene, ground_model, height_gate,
                      outlier_removal, plate_candidates, read_compact,
                      saliency_field, sparse_vote, truth_grid, write_compact)
-from curbmap.eigen import sym_to_matrices
 from curbmap.scene import TRUTH_CANOPY, _sample_grid, curb_face_distance
 from curbmap.semantic import SemanticGrid
 
 from conftest import STREET_CURB
 from oracles import (ball_vote_quadrature, double_loop_vote, frobenius,
-                     jacobi_eigenvalues, matrices_to_sym)
+                     jacobi_eigenvalues, matrices_to_sym, sym_to_matrices)
 
 
 def report(num, name, ok, detail):

@@ -1,12 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curbmap import decompose_batch, saliencies
-from curbmap.eigen import sym_to_matrices
 
-from oracles import jacobi_eigenvalues, matrices_to_sym
+from oracles import jacobi_eigenvalues, matrices_to_sym, sym_to_matrices
 
 component = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -128,3 +129,30 @@ class TestRoundTripHelpers:
         err = np.sqrt(((reconstruct(lam, vecs) - mats) ** 2).sum())
         assert err < 1e-8 * max(1.0, np.abs(t6).max())
         assert lam[0, 0] >= lam[0, 1] >= lam[0, 2]
+
+
+class TestBatchDeterminism:
+    def test_rows_independent_of_batch(self, rng):
+        # tiles and worker processes decompose sub-batches, which must give
+        # the bytes of the whole batch
+        t6, _ = random_psd(rng, 300)
+        t6[:20] = t6[20]                        # repeated rows
+        t6[40] = 0.0
+        t6[41] = [1.0, 0, 0, 1.0, 0, 1.0]
+        lam, vecs = decompose_batch(t6)
+        lam_rev, vecs_rev = decompose_batch(t6[::-1])
+        assert np.array_equal(lam_rev[::-1], lam) and np.array_equal(vecs_rev[::-1], vecs)
+        for k in range(len(t6)):
+            lam_k, vecs_k = decompose_batch(t6[k])
+            assert np.array_equal(lam_k[0], lam[k]) and np.array_equal(vecs_k[0], vecs[k])
+
+    def test_peak_memory_bounded_by_output(self, rng):
+        n = 100_000
+        t6, _ = random_psd(rng, n)
+        tracemalloc.start()
+        try:
+            decompose_batch(t6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * 9 * 8           # the (n, 3, 3) float64 eigenvectors

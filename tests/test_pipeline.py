@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from curbmap import (CropBox, CurbmapError, PipelineConfig, PipelineError, PointCloud,
-                     SceneSpec, detect_curbs, generate_scene, read_compact, run_pipeline,
-                     saliency_field, write_cloud)
-from curbmap import cli
+                     SceneSpec, SemanticLabel, detect_curbs, generate_scene, read_compact,
+                     run_pipeline, saliency_field, write_cloud)
+from curbmap import cli, voting
 from curbmap.cli import main
 from curbmap.pipeline import STAGES
 from curbmap.scene import curb_face_distance
@@ -116,18 +116,22 @@ class TestRunPipeline:
         assert not list(tmp_path.iterdir())
 
     def test_cell_key_overflow_names_index_stage(self, tmp_path):
-        points = np.vstack([np.random.default_rng(5).uniform(0, 2, (200, 3)), [1e12] * 3])
+        # far in z only: the xy label grid is small, so crop passes it on
+        points = np.vstack([np.random.default_rng(5).uniform(0, 2, (200, 3)), [1.0, 1.0, 1e19]])
         with pytest.raises(PipelineError) as err:
             run_pipeline(config_for(tmp_path), cloud=PointCloud(points))
         assert err.value.stage == "index"
 
-    def test_far_point_grid_refused(self, tmp_path, street_cloud):
+    def test_far_point_grid_refused(self, tmp_path, street_cloud, monkeypatch):
         # one lone point 10 km off the street: a 0.12 m label grid over
-        # both would need about 7e9 cells
+        # both would need about 7e9 cells, refused before the vote
+        votes = []
+        monkeypatch.setattr(voting, "sparse_vote", lambda *args, **kw: votes.append(args))
         points = np.vstack([street_cloud.points, [[1e4, 1e4, 0.0]]])
         with pytest.raises(PipelineError) as err:
             run_pipeline(config_for(tmp_path), cloud=PointCloud(points))
-        assert err.value.stage == "grid"
+        assert err.value.stage == "crop"
+        assert not votes
         assert isinstance(err.value.cause, CurbmapError)
         assert "at cell size 0.12 m" in str(err.value)
         assert not list(tmp_path.iterdir())
@@ -191,6 +195,8 @@ class TestCli:
         assert set(data["counts"]) >= {"parse_rejected", "crop_points", "ground_candidates",
                                        "curb_plate_candidates", "curb_height_gated",
                                        "curb_points", "grid_cells"}
+        histogram = [data["counts"][f"grid_{label.name.lower()}"] for label in SemanticLabel]
+        assert sum(histogram) == data["counts"]["grid_cells"]
         assert data["peak_rss_mb"] > 0.0
         assert f"peak_rss_mb: {data['peak_rss_mb']:.1f}" in capsys.readouterr().out
 

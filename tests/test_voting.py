@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from curbmap import (EmptyInputError, PointCloud, VotingParams, build_index, decay,
                      decompose_batch, saliencies, saliency_field, sparse_vote)
 from curbmap import neighbors, voting
-from curbmap.eigen import sym_to_matrices
 from curbmap.scene import _sample_grid
 from curbmap.voting import CUTOFF_SIGMAS
 
 from oracles import (ball_vote_quadrature, double_loop_vote, frobenius,
-                     random_rotation)
+                     random_rotation, sym_to_matrices)
 
 E_INV = 0.36787944117144233  # exp(-1)
 E_4 = 0.01831563888873418    # exp(-4)
