@@ -24,6 +24,7 @@ reference.
 
 from __future__ import annotations
 
+import io
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -486,13 +487,13 @@ def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
     if fmt not in ("pcd", "xyz"):
         raise ValueError(f"unknown format {fmt!r} (expected 'pcd' or 'xyz')")
     names = list(cloud.channels)
-    chunks = []
+    out = io.BytesIO()
     if fmt == "pcd":
         for name in names:
             if name.split() != [name]:
                 raise ValueError(f"channel name {name!r} is empty or contains whitespace")
         n_fields = 3 + len(names)
-        chunks.append("\n".join([
+        out.write("\n".join([
             "VERSION .7",
             " ".join(["FIELDS x y z", *names]),
             "SIZE" + " 8" * n_fields,
@@ -504,8 +505,8 @@ def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
             f"POINTS {len(cloud)}",
             "DATA ascii\n",
         ]).encode())
-    chunks.extend(format_float_rows([*cloud.points.T, *cloud.channels.values()]))
-    return b"".join(chunks)
+    out.writelines(format_float_rows([*cloud.points.T, *cloud.channels.values()]))
+    return out.getvalue()
 
 
 def crop(cloud: PointCloud, box: CropBox) -> PointCloud:

@@ -154,72 +154,47 @@ def parse_config(text: str, overrides: dict[str, dict[str, str]] | None = None) 
     return PipelineConfig(**values)
 
 
-_TEMPLATE_DOC = """\
-# curbmap pipeline configuration. Flat key = value entries grouped by
-# module. Every key is optional; the values below are the defaults.
-
-[cloud]
-# input point cloud path and format (pcd or xyz)
-input =
-format = xyz
-# optional axis-aligned crop: x0,y0,z0,x1,y1,z1 (inclusive bounds)
-crop =
-
-[voting]
-# decay scale in meters
-sigma = 0.3
-# neighbor cutoff radius; leave blank for sigma * sqrt(ln 1000)
-cutoff =
-# keep each point's unit ball encoding in its accumulated tensor
-include_self = true
-
-[dem]
-# ground candidates need stick >= stick_threshold * max(stick)
-stick_threshold = 0.5
-# and a normal within this many degrees of vertical
-max_angle_deg = 15.0
-# fine height grid cell (m), sample source for both DEM stages
-height_cell = 0.5
-# refined and coarse DEM cells (m)
-refined_cell = 1.0
-coarse_cell = 10.0
-# refined cells deviating more than this from coarse are invalidated (m)
-consistency = 0.3
-# minimum candidate points for a valid fine cell
-min_samples = 3
-
-[curb]
-# curb candidates need plate >= plate_threshold * max(plate)
-plate_threshold = 0.3
-# keep candidates with height above DEM in [height_floor, height_ceiling]
-height_ceiling = 0.5
-height_floor = -0.2
-# radius outlier filter over the candidate set
-outlier_radius = 0.3
-outlier_min_neighbors = 3
-
-[semantic]
-# occupancy grid resolution (m)
-cell = 0.12
-# cells with fewer points stay Unknown
-min_points = 3
-# vehicle clearance separating Obstacle from Wall/Vehicle evidence (m)
-robot_height = 1.0
-# points above robot_height needed to mark a Wall/Vehicle cell
-wall_point_threshold = 10
-# max height above DEM for a Road cell (m)
-road_tolerance = 0.1
-
-[run]
-threads = 1
-# output paths; leave blank to skip an export
-out_cloud =
-out_dem =
-out_raster =
-out_grid =
-"""
+# Comment lines written above a key in default_config_text().
+_KEY_DOCS = {
+    ("cloud", "input"): "input point cloud path and format (pcd or xyz)",
+    ("cloud", "crop"): "optional axis-aligned crop: x0,y0,z0,x1,y1,z1 (inclusive bounds)",
+    ("voting", "sigma"): "decay scale in meters",
+    ("voting", "cutoff"): "neighbor cutoff radius; leave blank for sigma * sqrt(ln 1000)",
+    ("voting", "include_self"): "keep each point's unit ball encoding in its accumulated tensor",
+    ("dem", "stick_threshold"): "ground candidates need stick >= stick_threshold * max(stick)",
+    ("dem", "max_angle_deg"): "and a normal within this many degrees of vertical",
+    ("dem", "height_cell"): "fine height grid cell (m), sample source for both DEM stages",
+    ("dem", "refined_cell"): "refined and coarse DEM cells (m)",
+    ("dem", "consistency"):
+        "refined cells deviating more than this from coarse are invalidated (m)",
+    ("dem", "min_samples"): "minimum candidate points for a valid fine cell",
+    ("curb", "plate_threshold"): "curb candidates need plate >= plate_threshold * max(plate)",
+    ("curb", "height_ceiling"):
+        "keep candidates with height above DEM in [height_floor, height_ceiling]",
+    ("curb", "outlier_radius"): "radius outlier filter over the candidate set",
+    ("semantic", "cell"): "occupancy grid resolution (m)",
+    ("semantic", "min_points"): "cells with fewer points stay Unknown",
+    ("semantic", "robot_height"):
+        "vehicle clearance separating Obstacle from Wall/Vehicle evidence (m)",
+    ("semantic", "wall_point_threshold"):
+        "points above robot_height needed to mark a Wall/Vehicle cell",
+    ("semantic", "road_tolerance"): "max height above DEM for a Road cell (m)",
+    ("run", "out_cloud"): "output paths; leave blank to skip an export",
+}
 
 
 def default_config_text() -> str:
-    """Commented template documenting every default."""
-    return _TEMPLATE_DOC
+    """Commented template documenting every default.
+
+    Each key shows its declared default, so cutoff stays blank and
+    follows sigma."""
+    lines = ["# curbmap pipeline configuration. Flat key = value entries grouped by",
+             "# module. Every key is optional; the values below are the defaults."]
+    for section, _, owner, keys in config_sections(PipelineConfig()):
+        declared = {f.name: f.default for f in fields(owner)}
+        lines += ["", f"[{section}]"]
+        for key, attr in keys.items():
+            if (section, key) in _KEY_DOCS:
+                lines.append(f"# {_KEY_DOCS[section, key]}")
+            lines.append(f"{key} = {_fmt(declared[attr])}".rstrip())
+    return "\n".join(lines) + "\n"

@@ -124,6 +124,16 @@ def grid_shape(xy: np.ndarray, origin, cell: float) -> tuple[int, int]:
     return int(spans[1]), int(spans[0])
 
 
+def occupied_cells(xy: np.ndarray, origin, cell: float):
+    """((nrows, ncols), cells, slot): the grid shape (see grid_shape), the
+    sorted row-major keys row * ncols + col of the cells holding an xy,
+    and each xy's index into cells."""
+    nrows, ncols = grid_shape(xy, origin, cell)
+    row, col = bin_cells(xy, origin, cell)
+    cells, slot = np.unique(row * ncols + col, return_inverse=True)
+    return (nrows, ncols), cells, slot
+
+
 def _median_grid(xy, values, weights, origin, cell: float):
     """Per-cell lower median of values; returns (heights, counts, valid).
 
@@ -138,17 +148,15 @@ def _median_grid(xy, values, weights, origin, cell: float):
     per-cell sum. A cell is valid when it holds at least one value.
     Raises CurbmapError when the grid is too large (see grid_shape).
     """
-    nrows, ncols = grid_shape(xy, origin, cell)
-    row, col = bin_cells(xy, origin, cell)
-    key = row * ncols + col
-    order = np.lexsort((values, key))
-    cells, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
-    heights = np.full(nrows * ncols, NODATA)
-    counts = np.zeros(nrows * ncols, dtype=np.int64)
-    heights[cells] = values[order[starts + (sizes - 1) // 2]]
-    counts[cells] = np.add.reduceat(weights[order], starts)
-    counts = counts.reshape(nrows, ncols)
-    return heights.reshape(nrows, ncols), counts, counts > 0
+    shape, cells, slot = occupied_cells(xy, origin, cell)
+    order = np.lexsort((values, slot))
+    sizes = np.bincount(slot)
+    starts = np.cumsum(sizes) - sizes
+    heights = np.full(shape, NODATA)
+    counts = np.zeros(shape, dtype=np.int64)
+    heights.flat[cells] = values[order[starts + (sizes - 1) // 2]]
+    counts.flat[cells] = np.add.reduceat(weights[order], starts)
+    return heights, counts, counts > 0
 
 
 def build_height_grid(points: np.ndarray, cell: float, min_samples: int = 3,
@@ -203,42 +211,43 @@ def refine_dem(height_grid: DemGrid, coarse_cell: float = 10.0,
     ref_h, ref_n, ref_valid = _median_grid(centers, values, weights, (x0, y0), refined_cell)
     coarse_h, _, coarse_valid = _median_grid(centers, values, weights, (x0, y0), coarse_cell)
 
-    nrows, ncols = ref_h.shape
     # coarse height per refined cell, via the refined cell's center
-    ry, rx = np.mgrid[0:nrows, 0:ncols]
-    ccol = np.floor((x0 + (rx + 0.5) * refined_cell - x0) / coarse_cell).astype(np.int64)
-    crow = np.floor((y0 + (ry + 0.5) * refined_cell - y0) / coarse_cell).astype(np.int64)
-    ccol = np.clip(ccol, 0, coarse_h.shape[1] - 1)
-    crow = np.clip(crow, 0, coarse_h.shape[0] - 1)
-    coarse_of = coarse_h[crow, ccol]
-    coarse_ok = coarse_valid[crow, ccol]
+    ccol = np.floor((x0 + (np.arange(ref_h.shape[1]) + 0.5) * refined_cell - x0)
+                    / coarse_cell).astype(np.int64)
+    crow = np.floor((y0 + (np.arange(ref_h.shape[0]) + 0.5) * refined_cell - y0)
+                    / coarse_cell).astype(np.int64)
+    at_coarse = np.ix_(np.clip(crow, 0, coarse_h.shape[0] - 1),
+                       np.clip(ccol, 0, coarse_h.shape[1] - 1))
+    coarse_of = coarse_h[at_coarse]
+    coarse_ok = coarse_valid[at_coarse]
 
     consistent = ref_valid & coarse_ok & (np.abs(ref_h - coarse_of) <= consistency)
-    invalidated = ref_valid & ~consistent
-
     out_h = np.where(consistent, ref_h, NODATA)
     out_n = np.where(consistent, ref_n, 0)
     out_valid = consistent.copy()
 
-    fill_rows, fill_cols = np.nonzero(invalidated)
-    for r, c in zip(fill_rows, fill_cols):
-        acc = wsum = 0.0
-        nn = 0
-        count_sum = 0
-        for (dr, dc), w in zip(_NEIGHBOR_OFFSETS, _NEIGHBOR_WEIGHTS):
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < nrows and 0 <= cc < ncols and consistent[rr, cc]:
-                acc += w * ref_h[rr, cc]
-                wsum += w
-                nn += 1
-                count_sum += int(ref_n[rr, cc])
-        if nn >= 2:
-            filled = acc / wsum
-            if coarse_ok[r, c] and abs(filled - coarse_of[r, c]) <= consistency:
-                out_h[r, c] = filled
-                out_n[r, c] = count_sum
-                out_valid[r, c] = True
-    return DemGrid((x0, y0), float(refined_cell), out_h, out_n.astype(np.int64), out_valid)
+    # refill the invalidated cells from their consistent neighbors, summed
+    # in _NEIGHBOR_OFFSETS order; the padding border is never consistent
+    fill_r, fill_c = np.nonzero(ref_valid & ~consistent)
+    ok_p, h_p, n_p = (np.pad(a, 1) for a in (consistent, ref_h, ref_n))
+    acc = wsum = 0.0
+    nn = count_sum = 0
+    for (dr, dc), w in zip(_NEIGHBOR_OFFSETS, _NEIGHBOR_WEIGHTS):
+        at = (fill_r + 1 + dr, fill_c + 1 + dc)
+        ok = ok_p[at]
+        acc = acc + np.where(ok, w * h_p[at], 0.0)
+        wsum = wsum + np.where(ok, w, 0.0)
+        nn = nn + ok
+        count_sum = count_sum + np.where(ok, n_p[at], 0)
+    with np.errstate(invalid="ignore"):
+        filled = acc / wsum   # NaN where no neighbor is consistent
+    keep = ((nn >= 2) & coarse_ok[fill_r, fill_c]
+            & (np.abs(filled - coarse_of[fill_r, fill_c]) <= consistency))
+    fill_r, fill_c = fill_r[keep], fill_c[keep]
+    out_h[fill_r, fill_c] = filled[keep]
+    out_n[fill_r, fill_c] = count_sum[keep]
+    out_valid[fill_r, fill_c] = True
+    return DemGrid((x0, y0), float(refined_cell), out_h, out_n, out_valid)
 
 
 def ground_model(cloud: PointCloud, params: GroundParams) -> tuple[np.ndarray, DemGrid]:

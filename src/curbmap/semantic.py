@@ -21,7 +21,7 @@ from enum import IntEnum
 import numpy as np
 
 from .cloud import PointCloud
-from .dem import DemGrid, bin_cells, grid_shape, ground_heights, snapped_origin
+from .dem import DemGrid, ground_heights, occupied_cells, snapped_origin
 from .errors import FormatError, FrameMismatchError
 
 
@@ -80,8 +80,6 @@ class SemanticGrid:
     origin: tuple[float, float]
     cell: float
     labels: np.ndarray       # (rows, cols) uint8 of SemanticLabel values
-    counts: np.ndarray       # points binned per cell
-    max_height: np.ndarray   # max height above DEM per cell, NaN if unknown
 
     @property
     def shape(self):
@@ -122,27 +120,24 @@ def label_cells(xy: np.ndarray, above: np.ndarray, known: np.ndarray, curb, grou
     corner snapped to the cell size. above is each point's height over
     the ground, read only where `known`. curb and ground select points,
     as indices or a boolean mask: curb evidence and road-surface
-    evidence. Raises CurbmapError when the grid is too large (see
-    dem.grid_shape).
+    evidence. The rules run over the occupied cells only; the label
+    raster, one byte per cell, is the one array the size of the grid.
+    Raises CurbmapError when the grid is too large (see dem.grid_shape).
     """
-    cell = params.cell
-    x0, y0 = snapped_origin(xy, cell)
-    nrows, ncols = grid_shape(xy, (x0, y0), cell)
-    row, col = bin_cells(xy, (x0, y0), cell)
-    flat = row * ncols + col
-    ncells = nrows * ncols
+    origin = snapped_origin(xy, params.cell)
+    shape, cells, slot = occupied_cells(xy, origin, params.cell)
+    ncells = len(cells)
 
-    counts = np.bincount(flat, minlength=ncells)
+    counts = np.bincount(slot)
     curb_cells = np.zeros(ncells, dtype=bool)
-    curb_cells[flat[curb]] = True
-    ground_count = np.bincount(flat[ground], minlength=ncells)
+    curb_cells[slot[curb]] = True
+    ground_count = np.bincount(slot[ground], minlength=ncells)
 
-    kflat = flat[known]
-    high_count = np.bincount(kflat[above[known] > params.robot_height], minlength=ncells)
+    kslot = slot[known]
+    high_count = np.bincount(kslot[above[known] > params.robot_height], minlength=ncells)
     max_above = np.full(ncells, -np.inf)
-    np.maximum.at(max_above, kflat, above[known])
-    has_height = np.zeros(ncells, dtype=bool)
-    has_height[kflat] = True
+    np.maximum.at(max_above, kslot, above[known])
+    has_height = max_above > -np.inf   # the cell holds a point over known ground
 
     labels = np.full(ncells, int(SemanticLabel.UNKNOWN), dtype=np.uint8)
     enough = counts >= params.min_points
@@ -156,13 +151,10 @@ def label_cells(xy: np.ndarray, above: np.ndarray, known: np.ndarray, curb, grou
     labels[wall] = int(SemanticLabel.WALL_VEHICLE)
     labels[enough & curb_cells] = int(SemanticLabel.ROAD_CURB)
 
-    max_height = np.where(has_height, max_above, np.nan)
-    return SemanticGrid(
-        (x0, y0), float(cell),
-        labels.reshape(nrows, ncols),
-        counts.reshape(nrows, ncols).astype(np.int64),
-        max_height.reshape(nrows, ncols),
-    )
+    # an unoccupied cell has fewer than min_points points: Unknown
+    raster = np.full(shape, int(SemanticLabel.UNKNOWN), dtype=np.uint8)
+    raster.flat[cells] = labels
+    return SemanticGrid(origin, float(params.cell), raster)
 
 
 def render_raster(grid: SemanticGrid) -> bytes:
@@ -190,7 +182,7 @@ def write_compact(grid: SemanticGrid) -> bytes:
 
 
 def read_compact(data: bytes) -> SemanticGrid:
-    """Inverse of write_compact. Counts and heights are not serialized."""
+    """Inverse of write_compact."""
     if len(data) < _HEADER.size:
         raise FormatError(f"truncated header: {len(data)} bytes")
     magic, x0, y0, cell, nrows, ncols = _HEADER.unpack_from(data)
@@ -202,8 +194,4 @@ def read_compact(data: bytes) -> SemanticGrid:
     labels = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size).reshape(nrows, ncols)
     if labels.size and labels.max() > max(SemanticLabel):
         raise FormatError(f"label byte {labels.max()} out of range")
-    return SemanticGrid(
-        (x0, y0), cell, labels.copy(),
-        np.zeros((nrows, ncols), dtype=np.int64),
-        np.full((nrows, ncols), np.nan),
-    )
+    return SemanticGrid((x0, y0), cell, labels.copy())

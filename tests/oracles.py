@@ -4,8 +4,9 @@ Everything here is deliberately written against the math, not against
 the production code paths: a pivot-driven scalar Jacobi eigensolver, a
 spherical-quadrature realization of the ball vote as an integral of
 rotated stick votes, a plain double-loop voting pass, a linear-scan
-radius query and the per-candidate outlier filter built on it, and a
-per-cell loop of lower medians for the DEM grids. The only
+radius query and the per-candidate outlier filter built on it, a
+per-cell loop of lower medians for the DEM grids, and a per-cell loop
+that refills the refined DEM's invalidated cells. The only
 shared primitive is np.add.reduceat, whose per-segment reduction is the
 pipeline's documented deterministic summation.
 
@@ -22,8 +23,8 @@ import math
 
 import numpy as np
 
-from curbmap import ParseError, ParseSummary, PointCloud
-from curbmap.dem import NODATA
+from curbmap import EmptyInputError, ParseError, ParseSummary, PointCloud
+from curbmap.dem import NODATA, DemGrid
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -185,6 +186,69 @@ def reference_median_grid(xy, values, weights, origin, cell: float):
         heights[r, c] = float(np.partition(values[seg], k)[k])
         counts[r, c] = int(weights[seg].sum())
     return heights, counts, counts > 0
+
+
+# 3x3 interpolation kernel of `dem.refine_dem`, in its summation order.
+_NEIGHBORS = [((-1, -1), 1.0), ((-1, 0), 2.0), ((-1, 1), 1.0), ((0, -1), 2.0),
+              ((0, 1), 2.0), ((1, -1), 1.0), ((1, 0), 2.0), ((1, 1), 1.0)]
+
+
+def reference_refine_dem(height_grid: DemGrid, coarse_cell: float, refined_cell: float,
+                         consistency: float) -> DemGrid:
+    """Dense index grids and one invalidated cell at a time: the
+    reference for `dem.refine_dem`.
+
+    The refined and coarse grids are `reference_median_grid`s of the
+    valid fine cells' centers. A refined cell deviating from its coarse
+    cell by more than consistency is invalidated; it is refilled with
+    the weighted mean of its consistent 8-neighbors, summed in
+    `_NEIGHBORS` order, when at least two exist and the mean itself
+    passes the consistency check.
+    """
+    rows, cols = np.nonzero(height_grid.valid)
+    if len(rows) == 0:
+        raise EmptyInputError("height grid has no valid cells")
+    x0, y0 = height_grid.origin
+    centers = np.column_stack([
+        x0 + (cols + 0.5) * height_grid.cell,
+        y0 + (rows + 0.5) * height_grid.cell,
+    ])
+    values = height_grid.heights[rows, cols]
+    weights = height_grid.counts[rows, cols]
+    ref_h, ref_n, ref_valid = reference_median_grid(centers, values, weights, (x0, y0),
+                                                    refined_cell)
+    coarse_h, _, coarse_valid = reference_median_grid(centers, values, weights, (x0, y0),
+                                                      coarse_cell)
+    nrows, ncols = ref_h.shape
+    ry, rx = np.mgrid[0:nrows, 0:ncols]
+    ccol = np.floor((x0 + (rx + 0.5) * refined_cell - x0) / coarse_cell).astype(np.int64)
+    crow = np.floor((y0 + (ry + 0.5) * refined_cell - y0) / coarse_cell).astype(np.int64)
+    ccol = np.clip(ccol, 0, coarse_h.shape[1] - 1)
+    crow = np.clip(crow, 0, coarse_h.shape[0] - 1)
+    coarse_of = coarse_h[crow, ccol]
+    coarse_ok = coarse_valid[crow, ccol]
+
+    consistent = ref_valid & coarse_ok & (np.abs(ref_h - coarse_of) <= consistency)
+    out_h = np.where(consistent, ref_h, NODATA)
+    out_n = np.where(consistent, ref_n, 0)
+    out_valid = consistent.copy()
+    for r, c in zip(*np.nonzero(ref_valid & ~consistent)):
+        acc = wsum = 0.0
+        nn = count_sum = 0
+        for (dr, dc), w in _NEIGHBORS:
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < nrows and 0 <= cc < ncols and consistent[rr, cc]:
+                acc += w * ref_h[rr, cc]
+                wsum += w
+                nn += 1
+                count_sum += int(ref_n[rr, cc])
+        if nn >= 2:
+            filled = acc / wsum
+            if coarse_ok[r, c] and abs(filled - coarse_of[r, c]) <= consistency:
+                out_h[r, c] = filled
+                out_n[r, c] = count_sum
+                out_valid[r, c] = True
+    return DemGrid((x0, y0), float(refined_cell), out_h, out_n.astype(np.int64), out_valid)
 
 
 def sym_to_matrices(t6: np.ndarray) -> np.ndarray:

@@ -280,9 +280,7 @@ class TestCriterion10StorageAnchor:
         for _ in range(1000):
             shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
             labels = rng.integers(0, 5, size=shape).astype(np.uint8)
-            grid_k = SemanticGrid((float(rng.normal()), float(rng.normal())), 0.12,
-                                  labels, np.zeros(shape, dtype=np.int64),
-                                  np.full(shape, np.nan))
+            grid_k = SemanticGrid((float(rng.normal()), float(rng.normal())), 0.12, labels)
             back = read_compact(write_compact(grid_k))
             if not np.array_equal(back.labels, labels):
                 trips_ok = False

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -163,6 +164,20 @@ class TestWriteCloud:
     def test_unreadable_channel_name_rejected(self, name):
         with pytest.raises(ValueError, match="whitespace"):
             write_cloud(make_cloud([[1, 2, 3]], **{name: [0.5]}), "pcd")
+
+    def test_peak_memory_near_output_size(self, rng):
+        # about 11 MB of text in ~120 chunks: the written text is held once,
+        # plus one chunk's working arrays
+        n = 60_000
+        cloud = make_cloud(rng.normal(scale=5.0, size=(n, 3)),
+                           **{f"c{k}": rng.random(n) for k in range(7)})
+        tracemalloc.start()
+        try:
+            data = write_cloud(cloud, "pcd")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(data)
 
 
 # Values whose shortest repr is easy to get wrong: signed zero, the

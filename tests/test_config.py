@@ -32,6 +32,11 @@ class TestRoundTrip:
         parsed = parse_config(default_config_text())
         assert parsed == PipelineConfig()
 
+    def test_template_cutoff_follows_sigma(self):
+        # the template leaves cutoff blank, so it follows an overridden sigma
+        config = parse_config(default_config_text(), {"voting": {"sigma": "0.4"}})
+        assert config.voting.cutoff == 0.4 * CUTOFF_SIGMAS
+
     def test_template_documents_every_section(self):
         text = default_config_text()
         for section in ("[cloud]", "[voting]", "[dem]", "[curb]", "[semantic]", "[run]"):

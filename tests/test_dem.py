@@ -13,7 +13,7 @@ from curbmap import (ChannelMissingError, CurbmapError, DemGrid, EmptyInputError
 from curbmap.dem import NODATA
 from curbmap.scene import _sample_grid
 
-from oracles import reference_median_grid
+from oracles import reference_median_grid, reference_refine_dem
 
 
 def field_of_plane(rng, tilt_deg=0.0, half=1.5, density=400.0):
@@ -224,6 +224,29 @@ class TestRefineDem:
         heights, known = ground_heights(coarse, centers)
         deviations = np.abs(refined.heights[rows, cols] - heights)[known]
         assert deviations.max() <= 0.3 + 0.05
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+           cell=st.sampled_from([0.25, 0.5, 1.0]), refined=st.sampled_from([0.5, 1.0, 1.5]),
+           coarse=st.sampled_from([2.0, 3.0, 10.0]), consistency=st.sampled_from([0.05, 0.2, 0.3]))
+    def test_matches_reference(self, seed, shape, cell, refined, coarse, consistency):
+        # noisy ground with 20% raised cells, so cells are invalidated and refilled
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 6, shape)
+        valid = counts >= 2
+        raised = (rng.random(shape) < 0.2) * rng.uniform(0.3, 3.0, shape)
+        heights = np.where(valid, rng.normal(0.0, 0.1, shape) + raised, NODATA)
+        grid = DemGrid(tuple(rng.uniform(-5.0, 5.0, 2)), cell, heights, counts, valid)
+        if not valid.any():
+            with pytest.raises(EmptyInputError):
+                refine_dem(grid, coarse, refined, consistency)
+            return
+        got = refine_dem(grid, coarse, refined, consistency)
+        expected = reference_refine_dem(grid, coarse, refined, consistency)
+        assert (got.origin, got.cell) == (expected.origin, expected.cell)
+        for name in ("heights", "counts", "valid"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestGroundQueries:

@@ -2,9 +2,12 @@
 
 The scripts import from curbmap, so a name retired from the package
 shows up here as an ImportError. The package itself imports nothing
-beyond the standard library and numpy.
+beyond the standard library and numpy, and every function the
+benchmark's tracer wraps still exists where the tracer looks for it.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +43,13 @@ def test_package_needs_only_numpy():
     allowed = set(sys.stdlib_module_names) | {"numpy", "curbmap"}
     loaded = set(done.stdout.split())
     assert {"numpy", "curbmap"} <= loaded <= allowed, loaded - allowed
+
+
+def test_benchmark_trace_points_resolve(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for module, attr, _ in spans.TRACE_POINTS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert spans.TRACE_POINTS and not missing, missing

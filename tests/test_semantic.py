@@ -12,6 +12,7 @@ from curbmap import (ClassifyParams, CurbmapError, FormatError, FrameMismatchErr
 from curbmap.dem import DemGrid
 from curbmap.scene import (TRUTH_CANOPY, TRUTH_CURB, TRUTH_ROAD, TRUTH_SIDEWALK,
                            TRUTH_WALL)
+from curbmap.semantic import label_cells
 
 
 def flat_dem(size=12, cell=1.0, height=0.0):
@@ -161,9 +162,6 @@ class TestTruthGrid:
         assert grid.labels.tolist() == [[road, curb, wall, unknown, road],
                                         [unknown] * 5,
                                         [obstacle, unknown, unknown, unknown, unknown]]
-        assert grid.counts.tolist() == [[6, 6, 12, 0, 6], [0] * 5, [6, 2, 0, 10, 0]]
-        assert grid.max_height[0, 4] == pytest.approx(0.02)
-        assert np.isnan(grid.max_height[1]).all()
 
     def test_far_point_refused_before_allocation(self):
         points = np.array([[0.1, 0.1, 0.0], [1.0, 0.5, 0.0], [0.3, 0.2, 0.0],
@@ -178,37 +176,45 @@ class TestTruthGrid:
             tracemalloc.stop()
         assert peak < 1 << 16   # the 83,334 x 83,334 grid would take ~190 GB
 
+    def test_counts_occupied_cells_only(self):
+        # two points 2,047 cells apart span a 2,048 x 2,048 grid; the label
+        # raster, one byte per cell, is the only array of that size
+        xy = np.array([[0.5, 0.5], [2047.5, 2047.5]])
+        tracemalloc.start()
+        try:
+            grid = label_cells(xy, np.zeros(2), np.ones(2, dtype=bool), np.zeros(0, dtype=np.int64),
+                               np.ones(2, dtype=bool), ClassifyParams(cell=1.0, min_points=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (2048, 2048)
+        assert grid.labels[0, 0] == grid.labels[-1, -1] == SemanticLabel.ROAD
+        assert (grid.labels == SemanticLabel.UNKNOWN).sum() == grid.labels.size - 2
+        assert peak < 2 * grid.labels.size
+
 
 class TestRenderRaster:
     def test_unknown_grid_pixels(self):
         grid = SemanticGrid((0, 0), 0.12,
-                            np.full((2, 2), int(SemanticLabel.UNKNOWN), dtype=np.uint8),
-                            np.zeros((2, 2), dtype=np.int64), np.full((2, 2), np.nan))
+                            np.full((2, 2), int(SemanticLabel.UNKNOWN), dtype=np.uint8))
         data = render_raster(grid)
         assert data.startswith(b"P6\n2 2\n255\n")
         assert data[11:] == bytes([0, 64, 0] * 4)
 
     def test_header_declares_cols_then_rows(self):
-        grid = SemanticGrid((0, 0), 0.12,
-                            np.zeros((3, 5), dtype=np.uint8),
-                            np.zeros((3, 5), dtype=np.int64), np.full((3, 5), np.nan))
+        grid = SemanticGrid((0, 0), 0.12, np.zeros((3, 5), dtype=np.uint8))
         assert render_raster(grid).startswith(b"P6\n5 3\n255\n")
 
     def test_each_label_color(self):
         labels = np.array([[int(l) for l in SemanticLabel]], dtype=np.uint8)
-        grid = SemanticGrid((0, 0), 0.12, labels,
-                            np.zeros_like(labels, dtype=np.int64),
-                            np.full(labels.shape, np.nan))
+        grid = SemanticGrid((0, 0), 0.12, labels)
         pixels = render_raster(grid)[len(b"P6\n5 1\n255\n"):]
         for k, label in enumerate(SemanticLabel):
             assert tuple(pixels[3 * k:3 * k + 3]) == LABEL_COLORS[label]
 
 
 def grid_from_labels(labels, origin=(0.0, 0.0), cell=0.12):
-    labels = np.asarray(labels, dtype=np.uint8)
-    return SemanticGrid(origin, cell, labels,
-                        np.zeros(labels.shape, dtype=np.int64),
-                        np.full(labels.shape, np.nan))
+    return SemanticGrid(origin, cell, np.asarray(labels, dtype=np.uint8))
 
 
 class TestCompactFormat:
