@@ -42,7 +42,6 @@ def main():
     cloud = generate_scene(SceneSpec(density=args.density))
     params = VotingParams(sigma=args.sigma)
     index = build_index(cloud, params.cutoff)
-    index.candidate_table(params.cutoff)
     print(f"{len(cloud)} points, sigma {params.sigma} m, cutoff {params.cutoff:.3f} m, "
           f"{index.cell_count} occupied cells")
     stats = count_pairs(cloud, index, params)

@@ -475,25 +475,25 @@ def format_float_rows(columns) -> Iterator[bytes]:
         yield _float_text(chunk.astype(np.float64, copy=False).ravel(), len(columns))
 
 
-def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
-    """Serialize a cloud to PCD or XYZ text, channels as extra columns.
+def cloud_chunks(cloud: PointCloud, fmt: str) -> Iterator[bytes]:
+    """PCD or XYZ text of a cloud in chunks: the PCD header, then row chunks.
 
-    Coordinates and channel values are written with full round-trip
-    precision, so parse_cloud(write_cloud(c)) reproduces them exactly.
-    A PCD channel name must be a non-empty word without whitespace, since
-    it becomes one entry of the FIELDS line.
+    Channels become extra columns, written with full round-trip
+    precision by format_float_rows. The format and the PCD channel names
+    are checked before the first chunk is yielded. A PCD channel name
+    must be a non-empty word without whitespace, since it becomes one
+    entry of the FIELDS line.
     """
     fmt = fmt.lower()
     if fmt not in ("pcd", "xyz"):
         raise ValueError(f"unknown format {fmt!r} (expected 'pcd' or 'xyz')")
     names = list(cloud.channels)
-    out = io.BytesIO()
     if fmt == "pcd":
         for name in names:
             if name.split() != [name]:
                 raise ValueError(f"channel name {name!r} is empty or contains whitespace")
         n_fields = 3 + len(names)
-        out.write("\n".join([
+        yield "\n".join([
             "VERSION .7",
             " ".join(["FIELDS x y z", *names]),
             "SIZE" + " 8" * n_fields,
@@ -504,8 +504,17 @@ def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
             "VIEWPOINT 0 0 0 1 0 0 0",
             f"POINTS {len(cloud)}",
             "DATA ascii\n",
-        ]).encode())
-    out.writelines(format_float_rows([*cloud.points.T, *cloud.channels.values()]))
+        ]).encode()
+    yield from format_float_rows([*cloud.points.T, *cloud.channels.values()])
+
+
+def write_cloud(cloud: PointCloud, fmt: str) -> bytes:
+    """Serialize a cloud to PCD or XYZ text: the chunks of cloud_chunks, joined.
+
+    parse_cloud(write_cloud(c)) reproduces coordinates and channels exactly.
+    """
+    out = io.BytesIO()
+    out.writelines(cloud_chunks(cloud, fmt))
     return out.getvalue()
 
 

@@ -3,10 +3,12 @@
 The workhorse is a uniform grid hash: points are binned once into cells
 of a fixed size (by default the query radius, so any query touches at
 most 27 cells), and each cell gathers its candidates from the
-surrounding cell block into one flat table, ascending by point index.
-The vote and the radius count both walk `UniformGridIndex.blocks`, which
-cuts each cell's receivers and candidate list into bounded blocks. The
-brute-force linear scan lives in tests/oracles.py as the reference.
+surrounding cell block into one list, ascending by point index. The vote
+and the radius count both walk `UniformGridIndex.blocks`, which builds
+those lists for CELL_BATCH cells at a time, so their memory scales with
+a batch, not with the cloud, and cuts each cell's receivers and
+candidate list into bounded blocks. The brute-force linear scan lives in
+tests/oracles.py as the reference.
 
 Neighbor contract: exactly the points with Euclidean distance <= radius
 (boundary inclusive). A point is its own neighbor, and so is each of its
@@ -16,13 +18,16 @@ exact duplicates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import PointCloud
 from .errors import CurbmapError
 
+# Cells whose candidate lists are built together: bounds the lists alive
+# at once, and is the vote's unit of parallel work.
+CELL_BATCH = 48
 BLOCK_PAIRS = 1 << 16  # cell blocks above this many pairs split by octant
 # Receiver rows per block are cut so that a block holds at most this
 # many receiver-candidate pairs, or a single row.
@@ -47,7 +52,6 @@ class UniformGridIndex:
     starts: np.ndarray      # offset of each cell's slice in `order`
     counts: np.ndarray      # population of each cell
     order: np.ndarray       # point indices grouped by cell
-    _tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def cell_count(self) -> int:
@@ -63,23 +67,20 @@ class UniformGridIndex:
         s = self.starts[slot]
         return self.order[s:s + self.counts[slot]]
 
-    def candidate_table(self, radius: float):
-        """Flat per-cell candidate lists for a query radius, built once.
+    def _candidate_lists(self, slots, radius: float):
+        """Candidate lists of the cells `slots`, built together.
 
-        Returns (cell_ptr, candidates): cell `slot` draws from
-        candidates[cell_ptr[slot]:cell_ptr[slot + 1]], ascending point
-        indices. Building it is one ragged gather plus one sort, so the
-        per-cell hot path is reduced to slicing.
+        Returns (ptr, candidates): the k-th of `slots` draws from
+        candidates[ptr[k]:ptr[k + 1]], the ascending indices of the points
+        in every cell within ceil(radius / cell_size) cells of it. Building
+        them is one ragged gather plus one sort, so memory scales with the
+        lists asked for, not with the cloud.
         """
+        slots = np.asarray(slots, dtype=np.int64)
         reach = int(np.ceil(radius / self.cell_size))
-        table = self._tables.get(reach)
-        if table is not None:
-            return table
-        # Runs: cell `slot` draws from order[run_starts[k]:run_starts[k] + run_counts[k]]
-        # for k in ptr[slot]:ptr[slot + 1].
         span = np.arange(-reach, reach + 1, dtype=np.int64)
         offs = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
-        cc = np.stack(self._decode(self.cell_keys), axis=1)
+        cc = np.stack(self._decode(self.cell_keys[slots]), axis=1)
         ncell, k = len(cc), len(offs)
         nb = (cc[:, None, :] + offs[None, :, :]).reshape(-1, 3)
         ok = ((nb >= 0) & (nb < self.dims)).all(axis=1)
@@ -92,8 +93,10 @@ class UniformGridIndex:
             hit[ok] = self.cell_keys[pos] == keys[ok]
             hit_pos[ok] = pos
         hit_pos = hit_pos[hit]
-        ptr = np.zeros(ncell + 1, dtype=np.int64)
-        np.cumsum(hit.reshape(ncell, k).sum(axis=1), out=ptr[1:])
+        # Runs: slot k draws from order[run_starts[j]:run_starts[j] + run_counts[j]]
+        # for j in run_ptr[k]:run_ptr[k + 1].
+        run_ptr = np.zeros(ncell + 1, dtype=np.int64)
+        np.cumsum(hit.reshape(ncell, k).sum(axis=1), out=run_ptr[1:])
         run_starts, run_counts = self.starts[hit_pos], self.counts[hit_pos]
 
         total = int(run_counts.sum())
@@ -102,61 +105,71 @@ class UniformGridIndex:
         rep = np.repeat(np.arange(len(run_counts)), run_counts)
         within = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], run_counts)
         flat = self.order[run_starts[rep] + within]
-        cell_ptr = cum[ptr]
+        ptr = cum[run_ptr]
         n = max(len(self.cloud), 1)
-        seg = np.repeat(np.arange(len(cell_ptr) - 1, dtype=np.int64),
-                        np.diff(cell_ptr))
+        seg = np.repeat(np.arange(ncell, dtype=np.int64), np.diff(ptr))
         composite = np.sort(seg * n + flat)
-        table = (cell_ptr, composite % n)
-        self._tables[reach] = table
-        return table
+        return ptr, composite % n
+
+    def candidate_table(self, radius: float):
+        """Candidate lists of every cell: (cell_ptr, candidates).
+
+        Cell `slot` draws from candidates[cell_ptr[slot]:cell_ptr[slot + 1]],
+        ascending point indices. The whole table is built on each call;
+        the vote and the radius count build theirs a cell batch at a time.
+        """
+        return self._candidate_lists(np.arange(self.cell_count), radius)
 
     def cell_candidates(self, slot: int, radius: float) -> np.ndarray:
         """Sorted point indices from all cells within `radius` reach of `slot`."""
-        cell_ptr, candidates = self.candidate_table(radius)
-        return candidates[cell_ptr[slot]:cell_ptr[slot + 1]]
+        return self._candidate_lists([slot], radius)[1]
 
     def blocks(self, slots, radius: float):
         """Yield (receivers, candidates) point index blocks for cells `slots`.
 
-        Each receiver of the cells lands in exactly one block, whose
+        `slots` is a sequence of cell slots. Their candidate lists are
+        built CELL_BATCH cells at a time and dropped once walked. Each
+        receiver of the cells lands in exactly one block, whose
         candidates are ascending and hold every indexed point within
         `radius` of it. A cell whose receivers times candidates exceed
         BLOCK_PAIRS is split by half-cell octant: each octant's receivers
         keep the candidates within ceil(radius / half cell) half cells of
         their own, as a half-size grid would list them, cut from the
         ascending list by a boolean mask over the candidates' half-cell
-        box. Blocks above ROW_CHUNK_PAIRS pairs are
-        then cut into row chunks, or single rows. Rows are independent,
-        so a per-receiver result does not depend on the split.
+        box. Blocks above ROW_CHUNK_PAIRS pairs are then cut into row
+        chunks, or single rows. Rows are independent, so a per-receiver
+        result does not depend on the split.
         """
         half = self.cell_size / 2.0
         reach = math.ceil(radius / half)
         pts = self.cloud.points
-        for slot in slots:
-            recv = self.cell_points(slot)
-            cand = self.cell_candidates(slot, radius)
-            parts = [(recv, cand)]
-            if len(recv) * len(cand) > BLOCK_PAIRS:
-                hr = np.floor((pts[recv] - self.origin) / half).astype(np.int64)
-                hc = np.floor((pts[cand] - self.origin) / half).astype(np.int64)
-                # one code per candidate: its half cell within the candidates' box
-                base = hc.min(axis=0)
-                shape = hc.max(axis=0) - base + 1
-                code = np.ravel_multi_index((hc - base).T, shape)
-                octant = (hr & 1) @ np.array([4, 2, 1])
-                parts = []
-                for o in np.unique(octant):
-                    sel = octant == o
-                    lo = np.maximum(hr[sel].min(axis=0) - reach - base, 0)
-                    hi = hr[sel].max(axis=0) + reach - base + 1
-                    box = np.zeros(shape, dtype=bool)
-                    box[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
-                    parts.append((recv[sel], cand[box.ravel()[code]]))
-            for recv, cand in parts:
-                rows = max(1, ROW_CHUNK_PAIRS // len(cand))
-                for a in range(0, len(recv), rows):
-                    yield recv[a:a + rows], cand
+        for a in range(0, len(slots), CELL_BATCH):
+            batch = slots[a:a + CELL_BATCH]
+            ptr, candidates = self._candidate_lists(batch, radius)
+            for slot, start, stop in zip(batch, ptr[:-1], ptr[1:]):
+                recv = self.cell_points(slot)
+                cand = candidates[start:stop]
+                parts = [(recv, cand)]
+                if len(recv) * len(cand) > BLOCK_PAIRS:
+                    hr = np.floor((pts[recv] - self.origin) / half).astype(np.int64)
+                    hc = np.floor((pts[cand] - self.origin) / half).astype(np.int64)
+                    # one code per candidate: its half cell within the candidates' box
+                    base = hc.min(axis=0)
+                    shape = hc.max(axis=0) - base + 1
+                    code = np.ravel_multi_index((hc - base).T, shape)
+                    octant = (hr & 1) @ np.array([4, 2, 1])
+                    parts = []
+                    for o in np.unique(octant):
+                        sel = octant == o
+                        lo = np.maximum(hr[sel].min(axis=0) - reach - base, 0)
+                        hi = hr[sel].max(axis=0) + reach - base + 1
+                        box = np.zeros(shape, dtype=bool)
+                        box[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+                        parts.append((recv[sel], cand[box.ravel()[code]]))
+                for recv, cand in parts:
+                    rows = max(1, ROW_CHUNK_PAIRS // len(cand))
+                    for r in range(0, len(recv), rows):
+                        yield recv[r:r + rows], cand
 
 
 def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
@@ -206,7 +219,8 @@ def radius_neighbors(index: UniformGridIndex, radius: float) -> np.ndarray:
 
     The point itself and exact duplicates count; the boundary is
     inclusive. Receivers are counted against their candidates block by
-    block, over `index.blocks`.
+    block, over `index.blocks`, which holds one cell batch's candidate
+    lists at a time.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")

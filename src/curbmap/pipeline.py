@@ -13,6 +13,7 @@ import json
 import os
 import resource
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +22,9 @@ import numpy as np
 from . import curb as curb_mod
 from . import dem as dem_mod
 from . import semantic, voting
-from .cloud import PointCloud, crop, parse_cloud, write_cloud
+# write_cloud is not called here; perfbench/spans.py traces it under this
+# module's name, so it stays importable from it
+from .cloud import PointCloud, cloud_chunks, crop, parse_cloud, write_cloud  # noqa: F401
 from .config import PipelineConfig
 from .errors import EmptyInputError, PipelineError
 from .neighbors import build_index
@@ -37,11 +40,15 @@ class TimingReport:
     SemanticLabel. peak_rss_mb is the process's high-water resident set
     size in MiB, read when the run ends: in a process that runs several
     pipelines it is the largest so far, not this run's own.
+    stage_peak_rss_mb is the same high-water mark read as each stage
+    ends, so the first stage at which it reaches peak_rss_mb is the one
+    that set the run's peak.
     """
 
     seconds: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     peak_rss_mb: float = 0.0
+    stage_peak_rss_mb: dict[str, float] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -53,14 +60,18 @@ class TimingReport:
         out.append(f"time_total_s: {self.total:.6f}")
         out += [f"{key}: {value}" for key, value in self.counts.items()]
         out.append(f"peak_rss_mb: {self.peak_rss_mb:.1f}")
+        out.append("stage_peak_rss_mb: " + " ".join(
+            f"{stage}={mb:.1f}" for stage, mb in self.stage_peak_rss_mb.items()))
         return out
 
     def to_json(self) -> str:
-        """The report as a JSON object: seconds, total_s, counts, peak_rss_mb."""
+        """The report as a JSON object: seconds, total_s, counts, peak_rss_mb,
+        stage_peak_rss_mb."""
         return json.dumps({"seconds": {stage: self.seconds[stage]
                                        for stage in STAGES if stage in self.seconds},
                            "total_s": self.total, "counts": self.counts,
-                           "peak_rss_mb": self.peak_rss_mb}, indent=2)
+                           "peak_rss_mb": self.peak_rss_mb,
+                           "stage_peak_rss_mb": self.stage_peak_rss_mb}, indent=2)
 
     def __str__(self) -> str:
         return "\n".join(self.lines())
@@ -88,6 +99,12 @@ class _StageClock:
 
     def stop(self):
         self.report.seconds[self.stage] = time.perf_counter() - self.t0
+        self.report.stage_peak_rss_mb[self.stage] = _peak_rss_mb()
+
+
+def _peak_rss_mb() -> float:
+    """The process's high-water resident set size in MiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
@@ -159,13 +176,13 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             curb_conf = np.zeros(len(cloud))
             curb_conf[detection.indices] = detection.confidence
             labeled = cloud.with_channels(curb_conf=curb_conf)
-            _write(config.out_cloud, write_cloud(labeled, config.input_format), written)
+            _write(config.out_cloud, cloud_chunks(labeled, config.input_format), written)
         if config.out_dem:
-            _write(config.out_dem, dem_mod.to_ascii_grid(refined).encode(), written)
+            _write(config.out_dem, [dem_mod.to_ascii_grid(refined).encode()], written)
         if config.out_raster:
-            _write(config.out_raster, semantic.render_raster(grid), written)
+            _write(config.out_raster, [semantic.render_raster(grid)], written)
         if config.out_grid:
-            _write(config.out_grid, semantic.write_compact(grid), written)
+            _write(config.out_grid, [semantic.write_compact(grid)], written)
         clock.stop()
     except Exception as exc:
         for path in written:
@@ -174,10 +191,17 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             except OSError:
                 pass
         raise PipelineError(clock.stage, exc) from exc
-    report.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    report.peak_rss_mb = _peak_rss_mb()
     return PipelineResult(report, cloud, refined, detection, grid, written)
 
 
-def _write(path: str, data: bytes, written: list[str]):
-    Path(path).write_bytes(data)
-    written.append(path)
+def _write(path: str, chunks: Iterable[bytes], written: list[str]):
+    """Write the chunks to path as they come, so no output is held whole.
+
+    The path is listed in written once the file is open, before the
+    first chunk, so a failure part way through still removes the
+    partial file.
+    """
+    with open(path, "wb") as out:
+        written.append(path)
+        out.writelines(chunks)

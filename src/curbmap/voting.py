@@ -44,17 +44,18 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import EmptyInputError
-from .neighbors import UniformGridIndex, build_index
+from .neighbors import CELL_BATCH, UniformGridIndex, build_index
 
 # Default cutoff multiplier: decay drops below 1e-3 past sigma*sqrt(ln 1000).
 CUTOFF_SIGMAS = math.sqrt(math.log(1000.0))
 
-_CELL_BATCH = 48  # grid cells per parallel task
 # ufunc buffer size, in elements, for the (k, m) offset step. Candidate
 # rows are a few hundred long, and np.subtract.outer over rows that short
 # runs about 3x faster per element with this buffer than with numpy's
 # default of 8,192; the stages outside the kernel keep the default.
 _OFFSET_BUFSIZE = 128
+# Tensors per np.linalg.eigh call in decompose_batch.
+_DECOMPOSE_ROWS = 4096
 # Lower-triangle (row, col) of each tensor component, in the column order
 # (xx, xy, xz, yy, yz, zz); np.linalg.eigh reads only that triangle.
 _LOWER = ((0, 1, 2, 1, 2, 2), (0, 0, 0, 1, 1, 2))
@@ -169,8 +170,10 @@ def sparse_vote(
     """Accumulate ball votes over the whole cloud. Returns (n, 6) tensors.
 
     Candidates come from each index cell's surrounding cell block. Work
-    is split into fixed batches of cells whose outputs are disjoint, so
-    any thread count yields the same bytes.
+    is split into fixed batches of CELL_BATCH cells whose outputs are
+    disjoint, so any thread count yields the same bytes. Each task
+    builds its batch's candidate lists and drops them when done, so
+    memory beyond the (n, 6) output scales with a batch, not the cloud.
     """
     n = len(cloud)
     if n == 0:
@@ -184,9 +187,8 @@ def sparse_vote(
         for recv, cand in index.blocks(batch, params.cutoff):
             out[recv] = _reduce_block(coords[:, recv], coords[:, cand], r2, s2)
 
-    index.candidate_table(params.cutoff)  # materialize once, shared read-only
     slots = range(index.cell_count)
-    batches = [slots[a:a + _CELL_BATCH] for a in range(0, index.cell_count, _CELL_BATCH)]
+    batches = [slots[a:a + CELL_BATCH] for a in range(0, index.cell_count, CELL_BATCH)]
     if threads <= 1:
         for batch in batches:
             vote_cells(batch)
@@ -200,7 +202,7 @@ def sparse_vote(
 
 
 def decompose_batch(t6: np.ndarray):
-    """Eigendecompose (n, 6) symmetric tensors with one np.linalg.eigh call.
+    """Eigendecompose (n, 6) symmetric tensors with np.linalg.eigh.
 
     Components are in the column order (xx, xy, xz, yy, yz, zz). Returns
     (eigenvalues (n, 3) sorted descending, eigenvectors (n, 3, 3) with row
@@ -208,22 +210,27 @@ def decompose_batch(t6: np.ndarray):
     that its largest-magnitude component is positive, the first one on a
     tie. A repeated eigenvalue has no preferred basis; its rows are then
     some orthonormal completion. Every tensor is decomposed on its own,
-    so a row's result does not depend on the rest of the batch.
+    so a row's result does not depend on the rest of the batch; rows go
+    through eigh _DECOMPOSE_ROWS at a time, which keeps the working
+    arrays at a chunk's size and the peak near the output's.
     """
     t6 = np.atleast_2d(np.asarray(t6, dtype=np.float64))
     if not np.isfinite(t6).all():
         raise ValueError("tensor components must be finite")
-    # each (n, 3, 3) array is freed before the next one is made, which
-    # keeps the peak near three times the eigenvector bytes
-    mats = np.zeros((len(t6), 3, 3))
-    mats[:, _LOWER[0], _LOWER[1]] = t6
-    lam, cols = np.linalg.eigh(mats)  # ascending, eigenvectors in columns
-    del mats
-    vecs = np.ascontiguousarray(cols[:, :, ::-1].swapaxes(1, 2))
-    del cols
-    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=2)[..., None], axis=2)
-    np.negative(vecs, out=vecs, where=lead < 0.0)
-    return lam[:, ::-1].copy(), vecs
+    n = len(t6)
+    lam = np.empty((n, 3))
+    vecs = np.empty((n, 3, 3))
+    for a in range(0, n, _DECOMPOSE_ROWS):
+        b = min(a + _DECOMPOSE_ROWS, n)
+        mats = np.zeros((b - a, 3, 3))
+        mats[:, _LOWER[0], _LOWER[1]] = t6[a:b]
+        w, cols = np.linalg.eigh(mats)  # ascending, eigenvectors in columns
+        lam[a:b] = w[:, ::-1]
+        v = vecs[a:b]
+        v[...] = cols[:, :, ::-1].swapaxes(1, 2)
+        lead = np.take_along_axis(v, np.abs(v).argmax(axis=2)[..., None], axis=2)
+        np.negative(v, out=v, where=lead < 0.0)
+    return lam, vecs
 
 
 def saliencies(eigenvalues: np.ndarray):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curbmap import decompose_batch, saliencies
+from curbmap import decompose_batch, saliencies, voting
 
 from oracles import jacobi_eigenvalues, matrices_to_sym, sym_to_matrices
 
@@ -156,3 +156,25 @@ class TestBatchDeterminism:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * n * 9 * 8           # the (n, 3, 3) float64 eigenvectors
+
+    def test_peak_memory_near_output(self, rng):
+        # rows go through eigh in chunks: the peak is the (n, 3) and
+        # (n, 3, 3) outputs plus one chunk's working arrays
+        n = 100_000
+        t6, _ = random_psd(rng, n)
+        tracemalloc.start()
+        try:
+            decompose_batch(t6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * n * 9 * 8
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_chunk_size_does_not_change_bytes(self, rng, rows, monkeypatch):
+        t6, _ = random_psd(rng, 300)
+        t6[:20] = t6[20]
+        lam, vecs = decompose_batch(t6)
+        monkeypatch.setattr(voting, "_DECOMPOSE_ROWS", rows)
+        lam_c, vecs_c = decompose_batch(t6)
+        assert np.array_equal(lam_c, lam) and np.array_equal(vecs_c, vecs)

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curbmap import (CurbmapError, PointCloud, VotingParams, build_index, radius_neighbors,
-                     sparse_vote)
+from curbmap import (CurbmapError, PointCloud, SceneSpec, VotingParams, build_index,
+                     generate_scene, neighbors, radius_neighbors, sparse_vote)
 
 from oracles import brute_force_neighbors, double_loop_vote
 
@@ -128,3 +132,59 @@ class TestOracleEquivalence:
         cloud = cloud_of(rng.uniform(0, 4, size=(800, 3)))
         counts = radius_neighbors(build_index(cloud, 0.3), 1.1)
         assert np.array_equal(counts, brute_force_counts(cloud, 1.1))
+
+    def test_peak_memory_bounded(self):
+        # about 40k points: candidate lists are built one cell batch at a
+        # time, not as one table for the whole cloud
+        cloud = generate_scene(SceneSpec(density=100))
+        radius = VotingParams(sigma=0.3).cutoff
+        index = build_index(cloud, radius)
+        tracemalloc.start()
+        try:
+            radius_neighbors(index, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(cloud) * 6 * 8   # as the vote's bound, (n, 6) float64
+
+
+class TestCandidateLists:
+    """The lists `blocks` builds a cell batch at a time, against one cell at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cell_size=st.sampled_from([0.4, 0.7, 1.0]),
+        reach=st.sampled_from([0.5, 1.0, 1.6]),
+        picks=st.lists(st.integers(0, 999), min_size=1, max_size=40),
+        cell_batch=st.integers(1, 9),
+    )
+    def test_batch_lists_equal_cell_candidates(self, seed, cell_size, reach, picks,
+                                               cell_batch):
+        points = np.random.default_rng(seed).uniform(0, 4, size=(300, 3))
+        index = build_index(cloud_of(points), cell_size)
+        radius = reach * cell_size
+        slots = list(dict.fromkeys(p % index.cell_count for p in picks))
+        with pytest.MonkeyPatch.context() as patch:
+            # one block per cell, so each yielded list is the cell's whole list
+            patch.setattr(neighbors, "BLOCK_PAIRS", 1 << 40)
+            patch.setattr(neighbors, "ROW_CHUNK_PAIRS", 1 << 40)
+            patch.setattr(neighbors, "CELL_BATCH", cell_batch)
+            blocks = list(index.blocks(slots, radius))
+        assert len(blocks) == len(slots)
+        cells = np.floor((points - index.origin) / cell_size).astype(np.int64)
+        steps = int(np.ceil(radius / cell_size))
+        for slot, (recv, cand) in zip(slots, blocks):
+            assert np.array_equal(recv, index.cell_points(slot))
+            assert np.array_equal(cand, index.cell_candidates(slot, radius))
+            # every point of the cells within reach, ascending
+            near = np.abs(cells - cells[recv[0]]).max(axis=1) <= steps
+            assert np.array_equal(cand, np.flatnonzero(near))
+
+    def test_table_equals_cell_candidates(self, rng):
+        cloud = cloud_of(rng.uniform(0, 5, size=(1000, 3)))
+        index = build_index(cloud, 0.6)
+        cell_ptr, candidates = index.candidate_table(0.9)
+        for slot in range(index.cell_count):
+            assert np.array_equal(candidates[cell_ptr[slot]:cell_ptr[slot + 1]],
+                                  index.cell_candidates(slot, 0.9))

@@ -8,7 +8,7 @@ import pytest
 from curbmap import (CropBox, CurbmapError, PipelineConfig, PipelineError, PointCloud,
                      SceneSpec, SemanticLabel, detect_curbs, generate_scene, read_compact,
                      run_pipeline, saliency_field, write_cloud)
-from curbmap import cli, voting
+from curbmap import cli, pipeline, voting
 from curbmap.cli import main
 from curbmap.pipeline import STAGES
 from curbmap.scene import curb_face_distance
@@ -79,6 +79,42 @@ class TestRunPipeline:
             run_pipeline(config, cloud=small_cloud)
         assert err.value.stage == "export"
         assert not (tmp_path / "out.xyz").exists()
+
+    def test_export_failure_mid_stream_removes_cloud(self, tmp_path, small_cloud,
+                                                     monkeypatch):
+        out = tmp_path / "out.xyz"
+
+        def failing_chunks(cloud, fmt):
+            yield b"1.0 2.0 3.0\n"
+            assert out.exists()   # the partial file is there when the writer fails
+            raise OSError("device full")
+
+        monkeypatch.setattr(pipeline, "cloud_chunks", failing_chunks)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config_for(tmp_path), cloud=small_cloud)
+        assert err.value.stage == "export"
+        assert "device full" in str(err.value)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["pcd", "xyz"])
+    def test_streamed_cloud_equals_write_cloud(self, tmp_path, small_cloud, fmt):
+        config = config_for(tmp_path, input_format=fmt, out_dem="", out_raster="",
+                            out_grid="")
+        result = run_pipeline(config, cloud=small_cloud)
+        curb_conf = np.zeros(len(result.cloud))
+        curb_conf[result.detection.indices] = result.detection.confidence
+        expected = write_cloud(result.cloud.with_channels(curb_conf=curb_conf), fmt)
+        assert len(expected) > 10 * 512 * 20   # many row chunks
+        assert (tmp_path / "out.xyz").read_bytes() == expected
+
+    def test_stage_peak_rss(self, tmp_path, small_cloud):
+        timing = run_pipeline(config_for(tmp_path), cloud=small_cloud).timing
+        peaks = timing.stage_peak_rss_mb
+        assert list(peaks) == list(STAGES)
+        values = list(peaks.values())
+        assert values == sorted(values) and 0.0 < values[-1] <= timing.peak_rss_mb
+        assert json.loads(timing.to_json())["stage_peak_rss_mb"] == peaks
+        assert f"stage_peak_rss_mb: parse={values[0]:.1f} crop=" in str(timing)
 
     def test_thread_count_invariance(self, tmp_path, small_cloud):
         grids = {}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from curbmap import (EmptyInputError, PointCloud, VotingParams, build_index, decay,
                      decompose_batch, saliencies, saliency_field, sparse_vote)
 from curbmap import neighbors, voting
-from curbmap.scene import _sample_grid
+from curbmap.scene import SceneSpec, _sample_grid, generate_scene
 from curbmap.voting import CUTOFF_SIGMAS
 
 from oracles import (ball_vote_quadrature, double_loop_vote, frobenius,
@@ -161,6 +162,32 @@ class TestSparseVote:
         via_one_cell = grid_vote(points, params, ONE_CELL)
         assert np.array_equal(via_grid, expected)
         assert np.array_equal(via_one_cell, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_double_loop_oracle_exact_over_cell_batches(self, rng, threads):
+        # about 160 cutoff cells: several CELL_BATCH tasks, each building
+        # its own candidate lists
+        points = rng.uniform(0, 1, size=(1500, 3)) * [9.0, 9.0, 2.0]
+        cloud = cloud_of(points)
+        params = VotingParams(sigma=0.4)
+        index = build_index(cloud, params.cutoff)
+        assert index.cell_count > 2 * neighbors.CELL_BATCH
+        expected = double_loop_vote(points, params.sigma, params.cutoff)
+        assert np.array_equal(sparse_vote(cloud, index, params, threads=threads), expected)
+
+    def test_peak_memory_bounded_by_output(self):
+        # about 40k points: candidate lists are built one cell batch at a
+        # time, so the peak is the (n, 6) output plus one batch and one block
+        cloud = generate_scene(SceneSpec(density=100))
+        params = VotingParams(sigma=0.3)
+        index = build_index(cloud, params.cutoff)
+        tracemalloc.start()
+        try:
+            sparse_vote(cloud, index, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(cloud) * 6 * 8
 
     def test_thread_count_does_not_change_bytes(self, rng):
         points = rng.uniform(0, 4, size=(3000, 3))
