@@ -20,7 +20,7 @@ from pathlib import Path
 
 import configparser
 
-from .cloud import write_cloud
+from .cloud import cloud_chunks
 from .config import (PipelineConfig, config_sections, default_config_text, ini_parser,
                      parse_config, read_section)
 from .errors import CurbmapError, PipelineError
@@ -87,7 +87,8 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             spec = _scene_spec_from_file(args.gen_scene)
             cloud = generate_scene(spec)
-            Path(args.out_cloud).write_bytes(write_cloud(cloud, args.format or "xyz"))
+            with open(args.out_cloud, "wb") as out:
+                out.writelines(cloud_chunks(cloud, args.format or "xyz"))
             print(f"wrote {len(cloud)} points to {args.out_cloud}")
             return 0
 

@@ -6,12 +6,17 @@ channels on the cloud. Points with non-finite coordinates are dropped at
 parse time and reported in the parse summary rather than failing the
 whole file, since real LiDAR dumps routinely contain NaN returns.
 
-Both formats share one data path, run in chunks of rows so that no
-Python frame runs per value: the data lines are split with str.split,
-row widths are checked with numpy, every token of the chunk goes through
-one map(float, ...) (Python's float spellings, nan and 1_0 included) and
-the values are reshaped, after which a numpy mask drops the rows with a
-non-finite coordinate.
+The reader walks its source in chunks of _CHUNK_ROWS lines, each cut
+right after a "\n" and decoded on its own, so the decoded text is never
+held whole and a parse peaks at about twice the parsed arrays. A
+pipeline run on a text cloud (perfbench's survey, a 7.6 MB ASCII PCD)
+therefore reaches its memory peak at decompose, not at parse. Both
+formats share one data path, run in chunks of rows so that no Python
+frame runs per value: the data lines are split with str.split, row
+widths are checked with numpy, every token of the chunk goes through
+one map(float, ...) (Python's float spellings, nan and 1_0 included)
+and the values are reshaped, after which a numpy mask drops the rows
+with a non-finite coordinate.
 
 The writer emits the bytes repr would give for every float, the
 shortest text that reads back to the same value, without calling repr:
@@ -25,9 +30,10 @@ reference.
 from __future__ import annotations
 
 import io
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -37,8 +43,9 @@ _PCD_HEADER_ORDER = (
     "VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
     "WIDTH", "HEIGHT", "VIEWPOINT", "POINTS", "DATA",
 )
-# Rows per chunk of the text reader and writer: bounds the token strings
-# and the writer's arrays alive at once (about 2 MB for 12 columns).
+# Lines per chunk of the text reader and rows per chunk of the writer:
+# bounds the reader's decoded text and token strings and the writer's
+# arrays alive at once (about 2 MB for 12 columns).
 _CHUNK_ROWS = 512
 
 
@@ -131,26 +138,50 @@ def parse_cloud(source: bytes | str, fmt: str) -> tuple[PointCloud, ParseSummary
     declared/actual count mismatch, short rows) raise ParseError; when
     several rows are bad, the first one in file order is reported.
     """
-    text = source.decode("utf-8", errors="replace") if isinstance(source, bytes) else source
     fmt = fmt.lower()
-    if fmt == "pcd":
-        return _parse_pcd(text)
-    if fmt == "xyz":
-        return _parse_xyz(text)
-    raise ValueError(f"unknown format {fmt!r} (expected 'pcd' or 'xyz')")
+    if fmt not in ("pcd", "xyz"):
+        raise ValueError(f"unknown format {fmt!r} (expected 'pcd' or 'xyz')")
+    lines = chain.from_iterable(_line_chunks(source))
+    return _parse_pcd(lines) if fmt == "pcd" else _parse_xyz(lines)
 
 
-def _data_lines(lines: list[str], start: int, skip_comments: bool):
-    """Non-blank lines of lines[start:] and their 1-based line numbers.
+def _line_chunks(source: bytes | str) -> Iterator[list[str]]:
+    """The lines of source, as str.splitlines gives them, in chunks.
 
-    With skip_comments, lines whose first non-blank character is # are
-    left out too (XYZ comments; a PCD data section has none).
+    Each chunk is cut right after its _CHUNK_ROWS-th "\\n" and decoded on
+    its own (UTF-8, errors replaced). A "\\n" never falls inside a UTF-8
+    sequence or a "\\r\\n", so the chunks' lines are those of the whole
+    source decoded and split at once. Text whose lines end only in other
+    separators ("\\r", "\\x85", ...) comes as one chunk.
     """
-    numbers = [
-        n for n, s in enumerate(map(str.lstrip, lines[start:]), start + 1)
-        if s and not (skip_comments and s[0] == "#")
-    ]
-    return [lines[n - 1] for n in numbers], np.array(numbers, dtype=np.int64)
+    encoded = isinstance(source, bytes)
+    pattern = f"(?:.*\n){{1,{_CHUNK_ROWS}}}"  # "." is anything but "\n"
+    cut = re.compile(pattern.encode() if encoded else pattern).match
+    start = 0
+    while start < len(source):
+        match = cut(source, start)
+        end = match.end() if match else len(source)
+        text = source[start:end]
+        yield (text.decode("utf-8", errors="replace") if encoded else text).splitlines()
+        start = end
+
+
+def _data_lines(lines: Iterator[str], lineno: int, skip_comments: bool):
+    """Non-blank lines and their 1-based line numbers, _CHUNK_ROWS lines at a time.
+
+    lineno counts the lines already taken from the iterator. With
+    skip_comments, lines whose first non-blank character is # are left
+    out too (XYZ comments; a PCD data section has none). Chunks with no
+    such line are not yielded.
+    """
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        numbers = [
+            n for n, s in enumerate(map(str.lstrip, chunk), lineno + 1)
+            if s and not (skip_comments and s[0] == "#")
+        ]
+        if numbers:
+            yield [chunk[n - lineno - 1] for n in numbers], np.array(numbers, dtype=np.int64)
+        lineno += len(chunk)
 
 
 def _convert_rows(rows: list[list[str]], numbers: np.ndarray, width: int) -> np.ndarray:
@@ -182,34 +213,43 @@ def _convert_rows(rows: list[list[str]], numbers: np.ndarray, width: int) -> np.
     return values.reshape(good, width)
 
 
-def _parse_data(lines: list[str], numbers: np.ndarray, width: int, extra_names):
-    """Parse data lines in chunks and drop rows with non-finite coordinates."""
-    data = np.empty((len(lines), width))
-    for a in range(0, len(lines), _CHUNK_ROWS):
-        b = a + _CHUNK_ROWS
-        data[a:b] = _convert_rows(list(map(str.split, lines[a:b])), numbers[a:b], width)
-    finite = np.isfinite(data[:, :3]).all(axis=1)
-    rejected = numbers[~finite].tolist()
-    if rejected:
-        data = data[finite]
-    channels = {name: data[:, 3 + k] for k, name in enumerate(extra_names)}
-    cloud = PointCloud(data[:, :3], channels)
-    return cloud, ParseSummary(total_rows=len(lines), rejected_lines=rejected)
+def _parse_data(chunks, width: int, extra_names):
+    """Parse (data lines, line numbers) chunks and drop rows with non-finite coordinates.
+
+    Each chunk's finite rows are kept as one small array, and every
+    output column is joined from them once.
+    """
+    blocks, rejected, total = [np.empty((0, width))], [], 0
+    for lines, numbers in chunks:
+        block = _convert_rows(list(map(str.split, lines)), numbers, width)
+        finite = np.isfinite(block[:, :3]).all(axis=1)
+        if not finite.all():
+            rejected += numbers[~finite].tolist()
+            block = block[finite]
+        blocks.append(block)
+        total += len(lines)
+    points = np.concatenate([block[:, :3] for block in blocks])
+    channels = {name: np.concatenate([block[:, 3 + k] for block in blocks])
+                for k, name in enumerate(extra_names)}
+    return PointCloud(points, channels), ParseSummary(total_rows=total, rejected_lines=rejected)
 
 
-def _parse_xyz(text: str):
-    lines, numbers = _data_lines(text.splitlines(), 0, skip_comments=True)
-    width = len(lines[0].split()) if lines else 3
+def _parse_xyz(lines: Iterator[str]):
+    chunks = _data_lines(lines, 0, skip_comments=True)
+    first = next(chunks, None)
+    if first is None:
+        return _parse_data([], 3, [])
+    width = len(first[0][0].split())
     if width < 3:
-        raise ParseError("XYZ rows need at least 3 columns", line=int(numbers[0]))
-    return _parse_data(lines, numbers, width, [f"extra{k}" for k in range(width - 3)])
+        raise ParseError("XYZ rows need at least 3 columns", line=int(first[1][0]))
+    return _parse_data(chain([first], chunks), width, [f"extra{k}" for k in range(width - 3)])
 
 
-def _parse_pcd(text: str):
-    lines = text.splitlines()
+def _parse_pcd(lines: Iterator[str]):
     header: dict[str, list[str]] = {}
     header_lines: dict[str, int] = {}
     data_start = None
+    lineno = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -226,7 +266,7 @@ def _parse_pcd(text: str):
             data_start = lineno
             break
     if data_start is None:
-        raise ParseError("missing DATA line", line=len(lines))
+        raise ParseError("missing DATA line", line=lineno)
     for required in ("FIELDS", "POINTS"):
         if required not in header:
             raise ParseError(f"missing {required} header", line=data_start)
@@ -259,12 +299,12 @@ def _parse_pcd(text: str):
                 f"WIDTH {width} x HEIGHT {height} does not equal POINTS {declared}",
                 line=header_lines["POINTS"])
 
-    data, numbers = _data_lines(lines, data_start, skip_comments=False)
-    result = _parse_data(data, numbers, len(fields), fields[3:])
-    if len(data) != declared:
-        raise ParseError(f"POINTS declares {declared} rows but data has {len(data)}",
+    cloud, summary = _parse_data(_data_lines(lines, data_start, skip_comments=False),
+                                 len(fields), fields[3:])
+    if summary.total_rows != declared:
+        raise ParseError(f"POINTS declares {declared} rows but data has {summary.total_rows}",
                          line=data_start)
-    return result
+    return cloud, summary
 
 
 # Shortest round-trip digits of a double (Schubfach: R. Giulietti, "The

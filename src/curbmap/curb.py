@@ -62,9 +62,13 @@ class CurbDetection:
 
 
 def plate_candidates(cloud: PointCloud, params: CurbParams) -> np.ndarray:
-    """Indices whose plate saliency reaches the relative threshold."""
+    """Indices whose plate saliency reaches the relative threshold.
+
+    A cloud with no positive plate saliency (duplicate points, a single
+    point) has no plate response to threshold, so it yields none.
+    """
     plate = cloud.channel("plate")
-    if len(plate) == 0:
+    if not (len(plate) and plate.max() > 0):
         return np.zeros(0, dtype=np.int64)
     return np.flatnonzero(plate >= params.plate_threshold * plate.max())
 
@@ -107,6 +111,5 @@ def detect_curbs(cloud: PointCloud, dem: DemGrid, params: CurbParams) -> CurbDet
     stage2 = height_gate(cloud, stage1, dem, params)
     stage3 = outlier_removal(cloud, stage2, params.outlier_radius,
                              params.outlier_min_neighbors)
-    peak = plate.max() if len(plate) else 1.0
-    confidence = plate[stage3] / peak if peak > 0 else np.zeros(len(stage3))
+    confidence = plate[stage3] / plate.max() if len(stage3) else np.zeros(0)
     return CurbDetection(stage3, confidence, len(stage1), len(stage2))

@@ -119,8 +119,10 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     try:
         clock.start("parse")
         if cloud is None:
-            data = Path(config.input_path).read_bytes()
-            cloud, summary = parse_cloud(data, config.input_format)
+            # the file's bytes are referenced only by the call, so they
+            # are freed when it returns
+            cloud, summary = parse_cloud(Path(config.input_path).read_bytes(),
+                                         config.input_format)
             report.counts["parse_rejected"] = summary.rejected
         clock.stop()
         report.counts["parse_points"] = len(cloud)
@@ -143,6 +145,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
 
         clock.start("vote")
         tensors = voting.sparse_vote(cloud, index, config.voting, threads=config.threads)
+        del index
         clock.stop()
 
         clock.start("decompose")

@@ -229,6 +229,31 @@ def data_line(draw, width):
         t + s for t, s in zip(tokens, seps))
 
 
+# Every line break str.splitlines honours, and invalid UTF-8 right before
+# a "\n" (bytes sources only): a truncated sequence or a stray byte
+# decodes to U+FFFD at the end of its line.
+EOLS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+        "\u2028", "\u2029"]
+BAD_UTF8_EOLS = [b"\xff\n", b"\xc3\n", b"\xe2\x82\n", b"\x85\n"]
+
+
+def join_lines(data, lines, as_bytes, bad_utf8=True):
+    """lines joined, each ended by a line break, as str or bytes.
+
+    Half the breaks are "\\n" or "\\r\\n", so a source holds several
+    places where the reader may cut it; the rest are drawn from EOLS
+    (and, for bytes with bad_utf8, BAD_UTF8_EOLS).
+    """
+    pool = EOLS
+    if as_bytes:
+        pool = [eol.encode() for eol in EOLS] + (BAD_UTF8_EOLS if bad_utf8 else [])
+    eol = st.one_of(st.sampled_from(pool[:2]), st.sampled_from(pool))
+    eols = data.draw(st.lists(eol, min_size=len(lines), max_size=len(lines)))
+    if as_bytes:
+        return b"".join(line.encode() + eol for line, eol in zip(lines, eols))
+    return "".join(line + eol for line, eol in zip(lines, eols))
+
+
 def outcome(parse, source, fmt):
     try:
         cloud, summary = parse(source, fmt)
@@ -254,20 +279,18 @@ class TestMatchesReference:
         for fmt in ("xyz", "pcd"):
             assert write_cloud(cloud, fmt) == reference_write_cloud(cloud, fmt)
 
-    @given(st.integers(3, 5), st.data(), st.sampled_from(["\n", "\r\n"]),
-           st.booleans(), chunk_rows)
+    @given(st.integers(3, 5), st.data(), st.booleans(), chunk_rows)
     @settings(max_examples=300, deadline=None)
-    def test_parse_xyz_matches_reference(self, width, data, eol, as_bytes, chunk):
+    def test_parse_xyz_matches_reference(self, width, data, as_bytes, chunk):
         lines = data.draw(st.lists(data_line(width), max_size=12))
-        text = "".join(line + eol for line in lines)
-        source = text.encode() if as_bytes else text
+        source = join_lines(data, lines, as_bytes)
         with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
             got = outcome(parse_cloud, source, "xyz")
         assert got == outcome(reference_parse_cloud, source, "xyz")
 
-    @given(st.integers(3, 5), st.data(), st.sampled_from(["\n", "\r\n"]), chunk_rows)
+    @given(st.integers(3, 5), st.data(), st.booleans(), chunk_rows)
     @settings(max_examples=300, deadline=None)
-    def test_parse_pcd_matches_reference(self, width, data, eol, chunk):
+    def test_parse_pcd_matches_reference(self, width, data, as_bytes, chunk):
         lines = data.draw(st.lists(data_line(width), max_size=12))
         fields = ["x", "y", "z"] + [f"c{k}" for k in range(width - 3)]
         rows = sum(1 for line in lines if line.strip())
@@ -281,10 +304,13 @@ class TestMatchesReference:
                                   min_size=len(entries), max_size=len(entries)))
         header = ["# written by hand"] + [key + sep + value
                                           for (key, value), sep in zip(entries, seps)]
-        text = "".join(line + eol for line in header + lines)
+        # the reference leaves WIDTH and HEIGHT unread, so U+FFFD goes
+        # into data lines only
+        source = (join_lines(data, header, as_bytes, bad_utf8=False)
+                  + join_lines(data, lines, as_bytes))
         with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
-            got = outcome(parse_cloud, text, "pcd")
-        assert got == outcome(reference_parse_cloud, text, "pcd")
+            got = outcome(parse_cloud, source, "pcd")
+        assert got == outcome(reference_parse_cloud, source, "pcd")
 
 
 def bits_to_double(bits: int) -> float:
@@ -348,15 +374,15 @@ HEADER_WORDS = ["VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH", "HEIGHT",
 fuzz_text = st.lists(st.one_of(
     st.sampled_from(HEADER_WORDS + GOOD_TOKENS + NONFINITE_TOKENS + BAD_TOKENS),
     st.integers(-2, 5).map(str), st.floats().map(repr),
-    st.sampled_from([" ", "\t", "\n", "\r\n", "\x00", "\u00e9"]),
+    st.sampled_from([" ", "\t", "\n", "\r\n", "\r", "\x85", "\u2028", "\x00", "\u00e9"]),
 ), max_size=60).map("".join)
+fuzz_sources = st.one_of(st.binary(max_size=200), fuzz_text, fuzz_text.map(str.encode))
 
 
 class TestParseFuzz:
     """Any input either parses or raises ParseError, in both formats."""
 
-    @given(st.one_of(st.binary(max_size=200), fuzz_text, fuzz_text.map(str.encode)),
-           st.sampled_from(["xyz", "pcd"]))
+    @given(fuzz_sources, st.sampled_from(["xyz", "pcd"]))
     @settings(max_examples=500, deadline=None)
     def test_parses_or_raises_parse_error(self, source, fmt):
         try:
@@ -364,6 +390,30 @@ class TestParseFuzz:
         except ParseError:
             return
         assert summary.total_rows == len(cloud) + summary.rejected
+
+    @given(fuzz_sources, st.sampled_from(["xyz", "pcd"]), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_size_does_not_change_outcome(self, source, fmt, chunk):
+        expected = outcome(parse_cloud, source, fmt)
+        with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
+            assert outcome(parse_cloud, source, fmt) == expected
+
+    def test_peak_memory_near_output_size(self, rng):
+        # 100k rows, 6 MB of PCD text in about 200 chunks: the parser
+        # holds the chunks' rows and the joined columns, about 2x the
+        # output, never the text decoded whole (about 8x before)
+        n = 100_000
+        cloud = make_cloud(rng.normal(scale=20.0, size=(n, 3)), intensity=rng.random(n))
+        source = write_cloud(cloud, "pcd")
+        tracemalloc.start()
+        try:
+            back, _ = parse_cloud(source, "pcd")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.points, cloud.points)
+        output = back.points.nbytes + back.channels["intensity"].nbytes
+        assert peak < 3 * output
 
 
 class TestCropBox:

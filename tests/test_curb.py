@@ -70,6 +70,15 @@ class TestPlateCandidates:
         with pytest.raises(ChannelMissingError):
             plate_candidates(PointCloud(np.zeros((1, 3))), CurbParams())
 
+    @pytest.mark.parametrize("count", [1, 40])
+    def test_no_plate_response_yields_none(self, count):
+        # one point, or copies of it: every plate saliency is 0, and a
+        # threshold relative to that maximum must not keep them all
+        field = saliency_field(PointCloud(np.tile([[1.0, 2.0, 3.0]], (count, 1))),
+                               VotingParams(sigma=0.3))
+        assert not field.channel("plate").any()
+        assert len(plate_candidates(field, CurbParams())) == 0
+
     def test_raising_threshold_never_adds(self, step_scene):
         _, field, _ = step_scene
         loose = set(plate_candidates(field, CurbParams(plate_threshold=0.2)).tolist())

@@ -151,6 +151,16 @@ class TestRunPipeline:
         assert err.value.stage == "dem"
         assert not list(tmp_path.iterdir())
 
+    def test_duplicate_points_detect_no_curb(self, tmp_path):
+        # copies of one point have no plate response: no point is a curb
+        result = run_pipeline(config_for(tmp_path),
+                              cloud=PointCloud(np.tile([[1.0, 2.0, 3.0]], (40, 1))))
+        counts = result.timing.counts
+        assert (counts["curb_plate_candidates"], counts["curb_points"]) == (0, 0)
+        assert len(result.detection.indices) == len(result.detection.confidence) == 0
+        assert counts["grid_road_curb"] == 0
+        assert counts["grid_cells"] == 1
+
     def test_cell_key_overflow_names_index_stage(self, tmp_path):
         # far in z only: the xy label grid is small, so crop passes it on
         points = np.vstack([np.random.default_rng(5).uniform(0, 2, (200, 3)), [1.0, 1.0, 1e19]])
@@ -202,7 +212,11 @@ class TestCli:
         spec_file.write_text(SCENE_CFG)
         cloud_file = tmp_path / "street.xyz"
         assert main(["--gen-scene", str(spec_file), "--out-cloud", str(cloud_file)]) == 0
-        assert cloud_file.exists()
+        # written chunk by chunk, the same bytes as write_cloud
+        spec = cli._scene_spec_from_file(str(spec_file))
+        expected = write_cloud(generate_scene(spec), "xyz")
+        assert len(expected) > 10 * 512 * 20   # many row chunks
+        assert cloud_file.read_bytes() == expected
 
         grid_file = tmp_path / "map.sgrd"
         raster_file = tmp_path / "map.ppm"
