@@ -3,9 +3,9 @@
 
 Runs on the standard synthetic street and verifies that every thread
 count produces bit-identical tensors. An untimed first pass walks the
-vote's blocks (`UniformGridIndex.blocks`) and counts the receiver x
-candidate pairs the vote kernel examines, how many of them lie inside
-the cutoff, and the largest block.
+vote's blocks (`UniformGridIndex.blocks`) and counts the blocks, the
+receiver x candidate pairs the vote kernel examines, how many of them
+lie inside the cutoff, and the largest block.
 """
 
 import argparse
@@ -19,11 +19,12 @@ from curbmap import (SceneSpec, VotingParams, build_index, decompose_batch,
 
 def count_pairs(cloud, index, params):
     """Walk the blocks the vote sees and count their pairs."""
-    stats = {"examined": 0, "inradius": 0, "largest": 0}
+    stats = {"blocks": 0, "examined": 0, "inradius": 0, "largest": 0}
     coords = np.ascontiguousarray(cloud.points.T)
     r2 = params.cutoff * params.cutoff
     for recv, cand in index.blocks(range(index.cell_count), params.cutoff):
         pairs = len(recv) * len(cand)
+        stats["blocks"] += 1
         d2 = sum(np.subtract.outer(coords[a, recv], coords[a, cand]) ** 2 for a in range(3))
         stats["examined"] += pairs
         stats["inradius"] += int(np.count_nonzero((d2 > 0.0) & (d2 <= r2)))
@@ -45,7 +46,8 @@ def main():
     print(f"{len(cloud)} points, sigma {params.sigma} m, cutoff {params.cutoff:.3f} m, "
           f"{index.cell_count} occupied cells")
     stats = count_pairs(cloud, index, params)
-    print(f"pairs examined {stats['examined']:,}, in radius {stats['inradius']:,}, "
+    print(f"{stats['blocks']:,} blocks, pairs examined {stats['examined']:,}, "
+          f"in radius {stats['inradius']:,}, "
           f"yield {stats['inradius'] / max(stats['examined'], 1):.3f}, "
           f"largest block {stats['largest']:,} pairs")
 

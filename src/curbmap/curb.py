@@ -10,6 +10,7 @@ that do not form a dense line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class CurbParams:
             raise ValueError("plate_threshold must be positive")
         if not self.height_ceiling > 0:
             raise ValueError("height_ceiling must be positive")
-        if not self.outlier_radius > 0:
-            raise ValueError("outlier_radius must be positive")
+        if not 0 < self.outlier_radius < math.inf:
+            raise ValueError("outlier_radius must be positive and finite")
         if not self.outlier_min_neighbors > 0:
             raise ValueError("outlier_min_neighbors must be positive")
 

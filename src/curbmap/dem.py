@@ -18,6 +18,7 @@ coarse cell, which holds for canopy-like outliers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,12 @@ class GroundParams:
     min_samples: int = 3
 
     def __post_init__(self):
-        for name in ("stick_threshold", "max_angle_deg", "height_cell",
-                     "refined_cell", "coarse_cell", "consistency", "min_samples"):
+        for name in ("stick_threshold", "max_angle_deg", "consistency", "min_samples"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("height_cell", "refined_cell", "coarse_cell"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not self.max_angle_deg < 90.0:
             raise ValueError("max_angle_deg must be below 90")
 

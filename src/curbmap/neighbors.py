@@ -6,8 +6,8 @@ most 27 cells), and each cell gathers its candidates from the
 surrounding cell block into one list, ascending by point index. The vote
 and the radius count both walk `UniformGridIndex.blocks`, which builds
 those lists for CELL_BATCH cells at a time, so their memory scales with
-a batch, not with the cloud, and cuts each cell's receivers and
-candidate list into bounded blocks. The brute-force linear scan lives in
+a batch, not with the cloud, and cuts them into blocks of at most
+BLOCK_PAIRS pairs. The brute-force linear scan lives in
 tests/oracles.py as the reference.
 
 Neighbor contract: exactly the points with Euclidean distance <= radius
@@ -28,10 +28,9 @@ from .errors import CurbmapError
 # Cells whose candidate lists are built together: bounds the lists alive
 # at once, and is the vote's unit of parallel work.
 CELL_BATCH = 48
-BLOCK_PAIRS = 1 << 16  # cell blocks above this many pairs split by octant
-# Receiver rows per block are cut so that a block holds at most this
-# many receiver-candidate pairs, or a single row.
-ROW_CHUNK_PAIRS = 1 << 18
+# Receiver-candidate pairs per block: a cell block above it is split by
+# octant, and a block still above it is cut into row chunks.
+BLOCK_PAIRS = 1 << 16
 
 
 @dataclass
@@ -99,12 +98,9 @@ class UniformGridIndex:
         np.cumsum(hit.reshape(ncell, k).sum(axis=1), out=run_ptr[1:])
         run_starts, run_counts = self.starts[hit_pos], self.counts[hit_pos]
 
-        total = int(run_counts.sum())
         cum = np.zeros(len(run_counts) + 1, dtype=np.int64)
         np.cumsum(run_counts, out=cum[1:])
-        rep = np.repeat(np.arange(len(run_counts)), run_counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], run_counts)
-        flat = self.order[run_starts[rep] + within]
+        flat = self.order[np.repeat(run_starts - cum[:-1], run_counts) + np.arange(cum[-1])]
         ptr = cum[run_ptr]
         n = max(len(self.cloud), 1)
         seg = np.repeat(np.arange(ncell, dtype=np.int64), np.diff(ptr))
@@ -131,12 +127,13 @@ class UniformGridIndex:
         built CELL_BATCH cells at a time and dropped once walked. Each
         receiver of the cells lands in exactly one block, whose
         candidates are ascending and hold every indexed point within
-        `radius` of it. A cell whose receivers times candidates exceed
-        BLOCK_PAIRS is split by half-cell octant: each octant's receivers
-        keep the candidates within ceil(radius / half cell) half cells of
-        their own, as a half-size grid would list them, cut from the
-        ascending list by a boolean mask over the candidates' half-cell
-        box. Blocks above ROW_CHUNK_PAIRS pairs are then cut into row
+        `radius` of it. A cell above BLOCK_PAIRS receiver-candidate pairs
+        is split by octant, one of its 8 half-size sub-cells. Half cells
+        come from build_index's subtraction, and halving the divisor
+        doubles the quotient exactly, so each half cell is twice the cell
+        plus the octant bit: an octant's receivers share one half cell h
+        and keep the candidates within ceil(radius / half cell) half
+        cells of h. A block still above BLOCK_PAIRS is cut into row
         chunks, or single rows. Rows are independent, so a per-receiver
         result does not depend on the split.
         """
@@ -153,21 +150,14 @@ class UniformGridIndex:
                 if len(recv) * len(cand) > BLOCK_PAIRS:
                     hr = np.floor((pts[recv] - self.origin) / half).astype(np.int64)
                     hc = np.floor((pts[cand] - self.origin) / half).astype(np.int64)
-                    # one code per candidate: its half cell within the candidates' box
-                    base = hc.min(axis=0)
-                    shape = hc.max(axis=0) - base + 1
-                    code = np.ravel_multi_index((hc - base).T, shape)
                     octant = (hr & 1) @ np.array([4, 2, 1])
                     parts = []
                     for o in np.unique(octant):
                         sel = octant == o
-                        lo = np.maximum(hr[sel].min(axis=0) - reach - base, 0)
-                        hi = hr[sel].max(axis=0) + reach - base + 1
-                        box = np.zeros(shape, dtype=bool)
-                        box[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
-                        parts.append((recv[sel], cand[box.ravel()[code]]))
+                        near = (np.abs(hc - hr[sel][0]) <= reach).all(axis=1)
+                        parts.append((recv[sel], cand[near]))
                 for recv, cand in parts:
-                    rows = max(1, ROW_CHUNK_PAIRS // len(cand))
+                    rows = max(1, BLOCK_PAIRS // len(cand))
                     for r in range(0, len(recv), rows):
                         yield recv[r:r + rows], cand
 
@@ -178,8 +168,8 @@ def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
     Cell keys are int64, so a cloud whose bounding box spans 2**63 cells
     or more raises CurbmapError.
     """
-    if not cell_size > 0:
-        raise ValueError(f"cell_size must be positive, got {cell_size}")
+    if not 0 < cell_size < math.inf:
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
     pts = cloud.points
     if len(pts) == 0:
         zero = np.zeros(0, dtype=np.int64)
@@ -222,8 +212,8 @@ def radius_neighbors(index: UniformGridIndex, radius: float) -> np.ndarray:
     block, over `index.blocks`, which holds one cell batch's candidate
     lists at a time.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     coords = np.ascontiguousarray(index.cloud.points.T)
     counts = np.zeros(len(index.cloud), dtype=np.int64)
     r2 = radius * radius

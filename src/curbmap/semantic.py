@@ -14,6 +14,7 @@ compact byte format (36-byte header plus one label byte per cell).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -67,8 +68,9 @@ class ClassifyParams:
     road_tolerance: float = 0.1
 
     def __post_init__(self):
-        for name in ("cell", "min_points", "robot_height",
-                     "wall_point_threshold", "road_tolerance"):
+        if not 0 < self.cell < math.inf:
+            raise ValueError("cell must be positive and finite")
+        for name in ("min_points", "robot_height", "wall_point_threshold", "road_tolerance"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -20,10 +20,12 @@ tests/oracles.py.
 
 How work is cut into blocks does not touch that order. The vote walks
 `UniformGridIndex.blocks`: each index cell's receivers against the
-cell's ascending candidate list, dense cells split by half-cell octant
-and large blocks cut into row chunks. Every block lists all in-radius
-candidates of its receivers in ascending order, so each receiver hands
-reduceat the same values in the same order whatever the split.
+cell's ascending candidate list, under one pair budget (BLOCK_PAIRS). A
+cell above it is split by octant, whose receivers share one half cell
+and keep the candidates within reach of it, and a block still above it
+is cut into row chunks. Every block lists all in-radius candidates of
+its receivers in ascending order, so each receiver hands reduceat the
+same values in the same order whatever the split.
 
 The kernel's offset step, three np.subtract.outer calls over rows of a
 few hundred candidates, runs under a 128-element ufunc buffer, set and
@@ -76,12 +78,12 @@ class VotingParams:
     include_self: bool = True
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.cutoff is None:
             object.__setattr__(self, "cutoff", self.sigma * CUTOFF_SIGMAS)
-        if not self.cutoff > 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
 
 
 def decay(d, sigma: float):

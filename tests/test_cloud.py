@@ -10,7 +10,7 @@ from oracles import reference_format_float_rows, reference_parse_cloud, referenc
 from curbmap import (ChannelMissingError, CropBox, ParseError, PointCloud, crop,
                      parse_cloud, write_cloud)
 from curbmap import cloud as cloud_module
-from curbmap.cloud import format_float_rows
+from curbmap.cloud import cloud_chunks, format_float_rows
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -165,6 +165,14 @@ class TestWriteCloud:
         with pytest.raises(ValueError, match="whitespace"):
             write_cloud(make_cloud([[1, 2, 3]], **{name: [0.5]}), "pcd")
 
+    @pytest.mark.parametrize("name", ["x", "y", "z"])
+    def test_coordinate_channel_name_rejected(self, name):
+        # the reader refuses FIELDS x y z plus a coordinate name again
+        cloud = make_cloud([[1, 2, 3]], **{name: [0.5]})
+        with pytest.raises(ValueError, match="coordinate"):
+            next(cloud_chunks(cloud, "pcd"))
+        assert parse_cloud(write_cloud(cloud, "xyz"), "xyz")[0].channels["extra0"][0] == 0.5
+
     def test_peak_memory_near_output_size(self, rng):
         # about 11 MB of text in ~120 chunks: the written text is held once,
         # plus one chunk's working arrays
@@ -192,7 +200,9 @@ chunk_rows = st.integers(1, 5)
 @st.composite
 def clouds(draw):
     n = draw(st.integers(0, 25))
-    names = draw(st.lists(st.text("abz_09", min_size=1, max_size=4), max_size=3, unique=True))
+    # "z" alone would name a coordinate, which the PCD writer refuses
+    names = draw(st.lists(st.text("abz_09", min_size=1, max_size=4).filter(lambda s: s != "z"),
+                          max_size=3, unique=True))
     points = draw(st.lists(coordinate, min_size=3 * n, max_size=3 * n))
     channels = {name: draw(st.lists(channel_value, min_size=n, max_size=n)) for name in names}
     return make_cloud(np.array(points, dtype=float).reshape(n, 3), **channels)
@@ -398,13 +408,12 @@ class TestParseFuzz:
         with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
             assert outcome(parse_cloud, source, fmt) == expected
 
-    def test_peak_memory_near_output_size(self, rng):
-        # 100k rows, 6 MB of PCD text in about 200 chunks: the parser
-        # holds the chunks' rows and the joined columns, about 2x the
-        # output, never the text decoded whole (about 8x before)
+    @staticmethod
+    def peak_over_output(rng, eol):
+        """tracemalloc peak of parsing 100k PCD rows, lines ended by eol, over the output."""
         n = 100_000
         cloud = make_cloud(rng.normal(scale=20.0, size=(n, 3)), intensity=rng.random(n))
-        source = write_cloud(cloud, "pcd")
+        source = write_cloud(cloud, "pcd").replace(b"\n", eol)
         tracemalloc.start()
         try:
             back, _ = parse_cloud(source, "pcd")
@@ -412,8 +421,45 @@ class TestParseFuzz:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back.points, cloud.points)
-        output = back.points.nbytes + back.channels["intensity"].nbytes
-        assert peak < 3 * output
+        return peak / (back.points.nbytes + back.channels["intensity"].nbytes)
+
+    def test_peak_memory_near_output_size(self, rng):
+        # 100k rows, 6 MB of PCD text in about 200 chunks: the parser
+        # holds the chunks' rows and the joined columns, about 2x the
+        # output, never the text decoded whole (about 8x before)
+        assert self.peak_over_output(rng, b"\n") < 3
+
+    def test_peak_memory_cr_only_lines(self, rng):
+        # the same bound when every line ends in a lone "\r": the reader
+        # cuts its chunks there too, not only after a "\n"
+        assert self.peak_over_output(rng, b"\r") < 3
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_chunks_cut_at_every_line_end(self, eol, as_bytes):
+        text = "".join(f"{k} 0 0{eol}" for k in range(1030))
+        source = text.encode() if as_bytes else text
+        chunks = list(cloud_module._line_chunks(source))
+        assert [len(chunk) for chunk in chunks] == [512, 512, 6]
+        assert sum(chunks, []) == text.splitlines()
+
+    @given(st.lists(st.sampled_from(["x", "y", "z", "a", "b"]), max_size=4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_field_raises_at_fields_line(self, extra, data):
+        fields = ["x", "y", "z", *extra]
+        rows = data.draw(st.lists(st.lists(good_token, min_size=len(fields),
+                                           max_size=len(fields)), max_size=3))
+        source = "\n".join([
+            "VERSION .7", "FIELDS " + " ".join(fields), f"POINTS {len(rows)}", "DATA ascii",
+            *(" ".join(row) for row in rows)]) + "\n"
+        if len(set(fields)) == len(fields):
+            cloud, _ = parse_cloud(source, "pcd")
+            assert list(cloud.channels) == extra
+        else:
+            # a repeated name would silently keep one column of the two
+            with pytest.raises(ParseError, match="repeats") as err:
+                parse_cloud(source, "pcd")
+            assert err.value.line == 2
 
 
 class TestCropBox:

@@ -78,6 +78,18 @@ class TestPartialFiles:
         with pytest.raises(ValueError, match=rf"\[{section}\] {key}: .*'{text}'"):
             parse_config(f"[{section}]\n{key} = {text}\n")
 
+    @pytest.mark.parametrize("section, key", [
+        ("voting", "sigma"), ("voting", "cutoff"), ("curb", "outlier_radius"),
+        ("dem", "height_cell"), ("dem", "refined_cell"), ("dem", "coarse_cell"),
+        ("semantic", "cell"),
+    ])
+    @pytest.mark.parametrize("text", ["inf", "nan"])
+    def test_nonfinite_size_rejected(self, section, key, text):
+        # a radius or cell size sets an index or a grid, which an
+        # infinite one would give NaN cell counts
+        with pytest.raises(ValueError, match=rf"{key} must be positive and finite"):
+            parse_config(f"[{section}]\n{key} = {text}\n")
+
     def test_format_any_case(self):
         assert parse_config("[cloud]\nformat = PCD\n").input_format == "PCD"
 

@@ -159,7 +159,6 @@ class TestOutlierRemoval:
         candidates = np.arange(0, len(points), stride)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(neighbors, "BLOCK_PAIRS", block_pairs)
-            patch.setattr(neighbors, "ROW_CHUNK_PAIRS", 4 * block_pairs)
             kept = outlier_removal(cloud, candidates, radius, min_neighbors)
         expected = reference_outlier_removal(cloud, candidates, radius, min_neighbors)
         assert np.array_equal(kept, expected)
@@ -178,7 +177,7 @@ class TestOutlierRemoval:
         assert kept.tolist() == list(range(3000))
         assert len(seen) > 1 and sum(rows for rows, _ in seen) == 3000
         for rows, cols in seen:
-            assert rows * cols <= neighbors.ROW_CHUNK_PAIRS or rows == 1
+            assert rows * cols <= neighbors.BLOCK_PAIRS or rows == 1
 
 
 def band_fraction(xs, centers, width=0.3):

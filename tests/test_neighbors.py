@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from curbmap import (CurbmapError, PointCloud, SceneSpec, VotingParams, build_index,
                      generate_scene, neighbors, radius_neighbors, sparse_vote)
+from curbmap.voting import CUTOFF_SIGMAS
 
 from oracles import brute_force_neighbors, double_loop_vote
 
@@ -46,6 +48,39 @@ class TestBuildIndex:
     def test_nonpositive_cell_size_rejected(self):
         with pytest.raises(ValueError):
             build_index(cloud_of([[0, 0, 0]]), 0.0)
+
+    @pytest.mark.parametrize("cell_size", [math.inf, math.nan])
+    def test_nonfinite_cell_size_rejected(self, cell_size):
+        with pytest.raises(ValueError, match="finite"):
+            build_index(cloud_of([[0, 0, 0]]), cell_size)
+
+
+class TestOctantRule:
+    """Half cells are twice the index cell plus the octant bit, exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        offset=st.tuples(*[st.floats(-1e6, 1e6)] * 3),
+        extent=st.floats(1e-3, 1e3),
+        cell=st.one_of(st.sampled_from([0.1, 1 / 3, 0.3 * CUTOFF_SIGMAS, 0.7, 1.0]),
+                       st.floats(1e-3, 1e3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_half_cell_is_twice_cell_plus_bit(self, offset, extent, cell, seed):
+        # the walker's half cells come from the subtraction build_index
+        # uses; halving the divisor doubles the quotient exactly, so
+        # floor(x / (c / 2)) - 2 floor(x / c) is the octant bit, 0 or 1
+        points = np.asarray(offset) + np.random.default_rng(seed).uniform(
+            0, extent, size=(200, 3))
+        index = build_index(cloud_of(points), cell)
+        for slot in range(index.cell_count):
+            members = index.cell_points(slot)
+            x = points[members] - index.origin
+            halves = np.floor(x / (cell / 2)).astype(np.int64)
+            bit = halves - 2 * np.floor(x / cell).astype(np.int64)
+            assert np.isin(bit, (0, 1)).all()
+            # so every member's half cell halves to its index cell
+            assert (halves // 2 == np.stack(index._decode(index.cell_keys[slot]))).all()
 
 
 def brute_force_counts(cloud, radius):
@@ -102,6 +137,12 @@ class TestRadiusNeighbors:
         index = build_index(cloud_of([[0, 0, 0]]), 1.0)
         with pytest.raises(ValueError):
             radius_neighbors(index, -1.0)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_nonfinite_radius_rejected(self, radius):
+        index = build_index(cloud_of([[0, 0, 0]]), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            radius_neighbors(index, radius)
 
 
 class TestOracleEquivalence:
@@ -168,7 +209,6 @@ class TestCandidateLists:
         with pytest.MonkeyPatch.context() as patch:
             # one block per cell, so each yielded list is the cell's whole list
             patch.setattr(neighbors, "BLOCK_PAIRS", 1 << 40)
-            patch.setattr(neighbors, "ROW_CHUNK_PAIRS", 1 << 40)
             patch.setattr(neighbors, "CELL_BATCH", cell_batch)
             blocks = list(index.blocks(slots, radius))
         assert len(blocks) == len(slots)

@@ -268,6 +268,21 @@ class TestCli:
         assert "crop" in captured.err
         assert not (tmp_path / "never.sgrd").exists()
 
+    def test_infinite_sigma_writes_nothing(self, tmp_path, small_cloud, capsys):
+        path = tmp_path / "scene.xyz"
+        path.write_bytes(write_cloud(small_cloud, "xyz"))
+        outputs = [tmp_path / name for name in ("out.xyz", "out.asc", "out.ppm", "out.sgrd",
+                                                 "run.json")]
+        code = main(["--input", str(path), "--sigma", "inf",
+                     *[arg for flag, out in zip(("--out-cloud", "--out-dem", "--out-raster",
+                                                 "--out-grid", "--report"), outputs)
+                       for arg in (flag, str(out))]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "sigma must be positive and finite" in captured.err
+        assert captured.out == ""
+        assert not any(out.exists() for out in outputs)
+
     def test_config_file_plus_flag_override(self, tmp_path, small_cloud, capsys,
                                             monkeypatch):
         path = tmp_path / "scene.xyz"

@@ -219,8 +219,8 @@ def block_spy(monkeypatch):
 
 
 def assert_blocks_bounded(seen):
-    # a block never exceeds the row-chunk bound unless it is a single row
-    bound = neighbors.ROW_CHUNK_PAIRS
+    # a block never exceeds the pair budget unless it is a single row
+    bound = neighbors.BLOCK_PAIRS
     assert seen
     for rows, cols in seen:
         assert rows * cols <= bound or rows == 1
@@ -257,16 +257,44 @@ class TestSplitBlocks:
 
     def test_block_memory_bounded(self, dense, monkeypatch):
         cloud = cloud_of(dense)
-        assert len(cloud) <= neighbors.ROW_CHUNK_PAIRS
+        assert len(cloud) <= neighbors.BLOCK_PAIRS
         seen = block_spy(monkeypatch)
         sparse_vote(cloud, build_index(cloud, self.PARAMS.cutoff), self.PARAMS)
         assert_blocks_bounded(seen)
         seen.clear()
         grid_vote(dense, self.PARAMS, ONE_CELL)
         assert_blocks_bounded(seen)
-        # a row of the one-cell index holds every point: the chunks stay
-        # within the bound because this cloud is smaller than it
-        assert max(rows * cols for rows, cols in seen) > neighbors.BLOCK_PAIRS
+        # the one-cell index's single octant keeps every point as a
+        # candidate, so its rows were cut into chunks: several blocks,
+        # each against the whole cloud, together holding every receiver
+        # once. A row holds every point, and stays within the budget
+        # because this cloud is smaller than it.
+        assert len(seen) > 1
+        assert {cols for _, cols in seen} == {len(cloud)}
+        assert sum(rows for rows, _ in seen) == len(cloud)
+
+    def test_split_blocks_keep_octant_reach(self, dense):
+        # every cell of the fixture is above the budget, so every block
+        # is one octant's: its receivers share one half cell h, and its
+        # candidates are exactly the points within `reach` half cells of
+        # h, ascending
+        cutoff = self.PARAMS.cutoff
+        cloud = cloud_of(dense)
+        index = build_index(cloud, cutoff)
+        assert min(len(index.cell_points(s)) * len(index.cell_candidates(s, cutoff))
+                   for s in range(index.cell_count)) > neighbors.BLOCK_PAIRS
+        half = cutoff / 2
+        reach = math.ceil(cutoff / half)
+        halves = np.floor((dense - index.origin) / half).astype(np.int64)
+        blocks = list(index.blocks(range(index.cell_count), cutoff))
+        assert len(blocks) > index.cell_count
+        for recv, cand in blocks:
+            h = halves[recv[0]]
+            assert (halves[recv] == h).all()
+            near = (np.abs(halves - h) <= reach).all(axis=1)
+            assert np.array_equal(cand, np.flatnonzero(near))
+        received = np.concatenate([recv for recv, _ in blocks])
+        assert np.array_equal(np.sort(received), np.arange(len(cloud)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -292,7 +320,6 @@ class TestSplitBlocks:
         expected = double_loop_vote(points, params.sigma, params.cutoff)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(neighbors, "BLOCK_PAIRS", block_pairs)
-            patch.setattr(neighbors, "ROW_CHUNK_PAIRS", 4 * block_pairs)
             seen = block_spy(patch)
             via_grid = sparse_vote(cloud, build_index(cloud, scale), params, threads=threads)
             via_one_cell = grid_vote(points, params, ONE_CELL, threads=threads)
