@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time sparse voting and decomposition across thread counts.
+"""Time sparse voting and the saliency pass across thread counts.
 
 Runs on the standard synthetic street and verifies that every thread
-count produces bit-identical tensors. An untimed first pass walks the
-vote's blocks (`UniformGridIndex.blocks`) and counts the blocks, the
-receiver x candidate pairs the vote kernel examines, how many of them
-lie inside the cutoff, and the largest block.
+count produces bit-identical tensors. Each timed pass runs what the
+pipeline's vote and decompose stages run: sparse_vote, then
+attach_saliencies. An untimed first pass walks the vote's blocks
+(`UniformGridIndex.blocks`) and counts the blocks, the receiver x
+candidate pairs the vote kernel examines, how many of them lie inside
+the cutoff, and the largest block.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import time
 
 import numpy as np
 
-from curbmap import (SceneSpec, VotingParams, build_index, decompose_batch,
+from curbmap import (SceneSpec, VotingParams, attach_saliencies, build_index,
                      generate_scene, sparse_vote)
 
 
@@ -57,7 +59,7 @@ def main():
         for _ in range(args.repeats):
             t0 = time.perf_counter()
             tensors = sparse_vote(cloud, index, params, threads=threads)
-            decompose_batch(tensors)
+            attach_saliencies(cloud, tensors)
             best = min(best, time.perf_counter() - t0)
         if reference is None:
             reference = tensors

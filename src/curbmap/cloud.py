@@ -10,13 +10,13 @@ The reader walks its source in chunks of _CHUNK_ROWS lines, each cut
 right after a "\r\n", "\n" or "\r" and decoded on its own, so the
 decoded text is never held whole and a parse peaks at about twice the
 parsed arrays. A pipeline run on a text cloud (perfbench's survey, a
-7.6 MB ASCII PCD) therefore reaches its memory peak at decompose, not at parse. Both
-formats share one data path, run in chunks of rows so that no Python
-frame runs per value: the data lines are split with str.split, row
-widths are checked with numpy, every token of the chunk goes through
-one map(float, ...) (Python's float spellings, nan and 1_0 included)
-and the values are reshaped, after which a numpy mask drops the rows
-with a non-finite coordinate.
+7.6 MB ASCII PCD) therefore reaches its memory peak in the stages after
+the vote, not at parse. Both formats share one data path, run in
+chunks of rows so that no Python frame runs per value: the data lines
+are split with str.split, row widths are checked with numpy, every
+token of the chunk goes through one map(float, ...) (Python's float
+spellings, nan and 1_0 included) and the values are reshaped, after
+which a numpy mask drops the rows with a non-finite coordinate.
 
 The writer emits the bytes repr would give for every float, the
 shortest text that reads back to the same value, without calling repr:

@@ -93,15 +93,22 @@ def extract_ground_candidates(cloud: PointCloud, params: GroundParams) -> np.nda
         return np.zeros(0, dtype=np.int64)
     # folding the normal so nz >= 0 makes the angle test |nz| >= cos(theta)
     min_nz = np.cos(np.radians(params.max_angle_deg))
-    keep = (stick >= params.stick_threshold * stick.max()) & (np.abs(nz) >= min_nz)
+    keep = stick >= params.stick_threshold * stick.max()
+    keep &= (nz >= min_nz) | (nz <= -min_nz)   # |nz| >= min_nz without an |nz| array
     return np.flatnonzero(keep)
 
 
 def bin_cells(xy: np.ndarray, origin, cell: float):
     """(row, col) of the cells of side `cell` from `origin` holding each xy."""
-    col = np.floor((xy[:, 0] - origin[0]) / cell).astype(np.int64)
-    row = np.floor((xy[:, 1] - origin[1]) / cell).astype(np.int64)
+    col, row = (_cells_along(xy, origin, cell, axis).astype(np.int64) for axis in (0, 1))
     return row, col
+
+
+def _cells_along(xy: np.ndarray, origin, cell: float, axis: int) -> np.ndarray:
+    """floor((xy[:, axis] - origin[axis]) / cell) as float64, in one buffer."""
+    q = np.subtract(xy[:, axis], origin[axis])
+    q /= cell
+    return np.floor(q, out=q)
 
 
 def snapped_origin(xy: np.ndarray, cell: float) -> tuple[float, float]:
@@ -130,11 +137,24 @@ def grid_shape(xy: np.ndarray, origin, cell: float) -> tuple[int, int]:
 def occupied_cells(xy: np.ndarray, origin, cell: float):
     """((nrows, ncols), cells, slot): the grid shape (see grid_shape), the
     sorted row-major keys row * ncols + col of the cells holding an xy,
-    and each xy's index into cells."""
+    and each xy's index into cells.
+
+    The keys are summed in the float row buffer and cast once: they are
+    whole numbers of magnitude below 2 * MAX_GRID_CELLS, so float64 holds
+    them exactly. cells is the sorted keys without repeats (np.unique on
+    int64 keys alone takes a hash path about 15x slower than np.sort),
+    and slot is looked up in it by searchsorted, which needs none of the
+    sort permutation and inverse arrays that
+    np.unique(..., return_inverse=True) makes.
+    """
     nrows, ncols = grid_shape(xy, origin, cell)
-    row, col = bin_cells(xy, origin, cell)
-    cells, slot = np.unique(row * ncols + col, return_inverse=True)
-    return (nrows, ncols), cells, slot
+    keys = _cells_along(xy, origin, cell, 1)
+    keys *= ncols
+    keys += _cells_along(xy, origin, cell, 0)
+    keys = keys.astype(np.int64)
+    cells = np.sort(keys)
+    cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
+    return (nrows, ncols), cells, np.searchsorted(cells, keys)
 
 
 def _median_grid(xy, values, weights, origin, cell: float):
@@ -146,19 +166,23 @@ def _median_grid(xy, values, weights, origin, cell: float):
     the ground, and a midpoint between the ground mode and an elevated
     mode would be a fictitious height no sample supports.
 
-    weights carries a sample count per value (1 for raw points, the
-    subcell population when aggregating a finer grid); counts is its
-    per-cell sum. A cell is valid when it holds at least one value.
-    Raises CurbmapError when the grid is too large (see grid_shape).
+    weights carries a sample count per value (the subcell population
+    when aggregating a finer grid); counts is its per-cell sum. None
+    counts each value once, as raw points do, without a weight array.
+    A cell is valid when it holds at least one value. Raises
+    CurbmapError when the grid is too large (see grid_shape).
     """
     shape, cells, slot = occupied_cells(xy, origin, cell)
-    order = np.lexsort((values, slot))
+    # lexsort copies both keys when one is strided, so hand it a
+    # contiguous copy of values: one temporary instead of two
+    order = np.lexsort((np.ascontiguousarray(values), slot))
     sizes = np.bincount(slot)
+    del slot
     starts = np.cumsum(sizes) - sizes
     heights = np.full(shape, NODATA)
     counts = np.zeros(shape, dtype=np.int64)
     heights.flat[cells] = values[order[starts + (sizes - 1) // 2]]
-    counts.flat[cells] = np.add.reduceat(weights[order], starts)
+    counts.flat[cells] = sizes if weights is None else np.add.reduceat(weights[order], starts)
     return heights, counts, counts > 0
 
 
@@ -175,9 +199,7 @@ def build_height_grid(points: np.ndarray, cell: float, min_samples: int = 3,
         raise EmptyInputError("no ground candidate points")
     if origin is None:
         origin = snapped_origin(points, cell)
-    heights, counts, _ = _median_grid(
-        points[:, :2], points[:, 2], np.ones(len(points), dtype=np.int64), origin, cell
-    )
+    heights, counts, _ = _median_grid(points[:, :2], points[:, 2], None, origin, cell)
     valid = counts >= min_samples
     heights[~valid] = NODATA
     return DemGrid(origin, float(cell), heights, counts, valid)
@@ -267,15 +289,29 @@ def ground_model(cloud: PointCloud, params: GroundParams) -> tuple[np.ndarray, D
 
 
 def ground_heights(dem: DemGrid, xy: np.ndarray):
-    """Vectorized ground lookup. Returns (heights, known) arrays."""
+    """Vectorized ground lookup. Returns (heights, known) arrays.
+
+    Cells are found as in bin_cells, but their float rows and columns
+    are folded into one flat index before the cast, exactly as in
+    occupied_cells; a query outside the grid reads cell 0 and is then
+    marked unknown.
+    """
     xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
-    row, col = dem.cell_of(xy)
     nrows, ncols = dem.shape
-    inside = (row >= 0) & (row < nrows) & (col >= 0) & (col < ncols)
-    rs = np.clip(row, 0, nrows - 1)
-    cs = np.clip(col, 0, ncols - 1)
-    known = inside & dem.valid[rs, cs]
-    heights = np.where(known, dem.heights[rs, cs], NODATA)
+    row = _cells_along(xy, dem.origin, dem.cell, 1)
+    col = _cells_along(xy, dem.origin, dem.cell, 0)
+    known = (row >= 0) & (row < nrows) & (col >= 0) & (col < ncols)
+    outside = ~known
+    row[outside] = 0.0
+    col[outside] = 0.0
+    row *= ncols
+    row += col
+    del col
+    flat = row.astype(np.int64)
+    del row
+    known &= dem.valid.take(flat)
+    heights = dem.heights.take(flat)
+    heights[~known] = NODATA
     return heights, known
 
 

@@ -150,7 +150,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
 
         clock.start("decompose")
         cloud = voting.attach_saliencies(cloud, tensors)
-        del tensors  # freed before export, where the run peaks in memory
+        del tensors  # freed before the dem stage's binning arrays are made
         clock.stop()
 
         clock.start("dem")

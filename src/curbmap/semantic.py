@@ -109,7 +109,8 @@ def classify_cells(cloud: PointCloud, dem: DemGrid, curb_indices: np.ndarray,
             or pts[:, 1].max() < dem.origin[1] or pts[:, 1].min() > dem_y1):
         raise FrameMismatchError("cloud extent is disjoint from the DEM extent")
     height, known = ground_heights(dem, pts[:, :2])
-    return label_cells(pts[:, :2], pts[:, 2] - height, known,
+    above = np.subtract(pts[:, 2], height, out=height)
+    return label_cells(pts[:, :2], above, known,
                        np.asarray(curb_indices, dtype=np.int64),
                        np.asarray(ground_indices, dtype=np.int64), params)
 
@@ -124,6 +125,8 @@ def label_cells(xy: np.ndarray, above: np.ndarray, known: np.ndarray, curb, grou
     as indices or a boolean mask: curb evidence and road-surface
     evidence. The rules run over the occupied cells only; the label
     raster, one byte per cell, is the one array the size of the grid.
+    Each per-cell count is reduced to the boolean its rule reads as soon
+    as it is made, so no more than two counts are alive at once.
     Raises CurbmapError when the grid is too large (see dem.grid_shape).
     """
     origin = snapped_origin(xy, params.cell)
@@ -131,23 +134,27 @@ def label_cells(xy: np.ndarray, above: np.ndarray, known: np.ndarray, curb, grou
     ncells = len(cells)
 
     counts = np.bincount(slot)
+    enough = counts >= params.min_points
+    ground_count = np.bincount(slot[ground], minlength=ncells)
+    ground_count *= 2
+    majority = ground_count > counts   # road evidence: ground candidates outnumber the rest
+    del counts, ground_count
     curb_cells = np.zeros(ncells, dtype=bool)
     curb_cells[slot[curb]] = True
-    ground_count = np.bincount(slot[ground], minlength=ncells)
 
-    kslot = slot[known]
-    high_count = np.bincount(kslot[above[known] > params.robot_height], minlength=ncells)
+    # a point over unknown ground reads -inf, which no height rule counts
+    kabove = np.where(known, above, -np.inf)
+    wall = np.bincount(slot[kabove > params.robot_height], minlength=ncells)
+    wall = enough & (wall > params.wall_point_threshold)
     max_above = np.full(ncells, -np.inf)
-    np.maximum.at(max_above, kslot, above[known])
+    np.maximum.at(max_above, slot, kabove)
+    del slot, kabove
     has_height = max_above > -np.inf   # the cell holds a point over known ground
 
     labels = np.full(ncells, int(SemanticLabel.UNKNOWN), dtype=np.uint8)
-    enough = counts >= params.min_points
-    wall = enough & (high_count > params.wall_point_threshold)
     obstacle = (enough & has_height
                 & (max_above > params.road_tolerance) & (max_above <= params.robot_height))
-    road = (enough & has_height
-            & (2 * ground_count > counts) & (max_above <= params.road_tolerance))
+    road = enough & has_height & majority & (max_above <= params.road_tolerance)
     labels[road] = int(SemanticLabel.ROAD)
     labels[obstacle] = int(SemanticLabel.OBSTACLE)
     labels[wall] = int(SemanticLabel.WALL_VEHICLE)

@@ -56,8 +56,9 @@ CUTOFF_SIGMAS = math.sqrt(math.log(1000.0))
 # runs about 3x faster per element with this buffer than with numpy's
 # default of 8,192; the stages outside the kernel keep the default.
 _OFFSET_BUFSIZE = 128
-# Tensors per np.linalg.eigh call in decompose_batch.
-_DECOMPOSE_ROWS = 4096
+# Tensors per np.linalg.eigh call in decompose_batch, and per decompose_batch
+# call in attach_saliencies.
+_DECOMPOSE_ROWS = 1024
 # Lower-triangle (row, col) of each tensor component, in the column order
 # (xx, xy, xz, yy, yz, zz); np.linalg.eigh reads only that triangle.
 _LOWER = ((0, 1, 2, 1, 2, 2), (0, 0, 0, 1, 1, 2))
@@ -247,20 +248,24 @@ def attach_saliencies(cloud: PointCloud, tensors: np.ndarray) -> PointCloud:
     Adds channels stick, plate, ball, nx, ny, nz (components of the
     leading eigenvector) and zsal = |nz| * stick, the vertical component
     of the stick-weighted normal, which separates ground-like points from
-    everything else.
+    everything else. The tensors go through decompose_batch
+    _DECOMPOSE_ROWS rows at a time, each chunk written straight into the
+    seven channels, so the eigenvalues and eigenvectors exist only a
+    chunk at a time; rows decompose independently, so the bytes are
+    those of one whole-array call.
     """
-    lam, vecs = decompose_batch(tensors)
-    stick, plate, ball = saliencies(lam)
-    normals = vecs[:, 0, :]
-    return cloud.with_channels(
-        stick=stick,
-        plate=plate,
-        ball=ball,
-        nx=normals[:, 0],
-        ny=normals[:, 1],
-        nz=normals[:, 2],
-        zsal=np.abs(normals[:, 2]) * stick,
-    )
+    tensors = np.asarray(tensors, dtype=np.float64)
+    n = len(tensors)
+    stick, plate, ball, nx, ny, nz, zsal = (np.empty(n) for _ in range(7))
+    for a in range(0, n, _DECOMPOSE_ROWS):
+        b = min(a + _DECOMPOSE_ROWS, n)
+        lam, vecs = decompose_batch(tensors[a:b])
+        stick[a:b], plate[a:b], ball[a:b] = saliencies(lam)
+        nx[a:b], ny[a:b], nz[a:b] = vecs[:, 0, :].T
+        np.abs(nz[a:b], out=zsal[a:b])
+        zsal[a:b] *= stick[a:b]
+    return cloud.with_channels(stick=stick, plate=plate, ball=ball,
+                               nx=nx, ny=ny, nz=nz, zsal=zsal)
 
 
 def saliency_field(cloud: PointCloud, params: VotingParams, threads: int = 1) -> PointCloud:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from curbmap import dem
 from curbmap import (ChannelMissingError, CurbmapError, DemGrid, EmptyInputError, GroundParams,
                      PointCloud, VotingParams, build_height_grid,
-                     extract_ground_candidates, ground_heights,
+                     extract_ground_candidates, ground_heights, ground_model,
                      refine_dem, saliency_field, to_ascii_grid)
 from curbmap.dem import NODATA
 from curbmap.scene import _sample_grid
@@ -164,6 +164,27 @@ class TestGridShape:
         row, col = dem.bin_cells(xy, origin, cell)
         assert dem.grid_shape(xy, origin, cell) == (int(row.max()) + 1, int(col.max()) + 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # few distinct coordinates make many points share a cell, and the
+        # range puts points on both sides of the origin
+        xy=st.lists(st.tuples(*[st.sampled_from([-7.3, -2.0, -0.12, 0.0, 0.05, 0.6, 3.25, 9.9])
+                                | st.floats(-20.0, 20.0, allow_nan=False)] * 2),
+                    min_size=1, max_size=40),
+        cell=st.sampled_from([0.12, 0.5, 1.0, 0.3]),
+        shift=st.sampled_from([0.0, 0.5, 2.0]),
+    )
+    def test_occupied_cells_match_unique_inverse(self, xy, cell, shift):
+        xy = np.array(xy)
+        # a snapped origin, or one below it, so that rows and columns start above 0
+        origin = tuple(np.subtract(dem.snapped_origin(xy, cell), shift))
+        (nrows, ncols), cells, slot = dem.occupied_cells(xy, origin, cell)
+        row, col = dem.bin_cells(xy, origin, cell)
+        expected_cells, expected_slot = np.unique(row * ncols + col, return_inverse=True)
+        assert (nrows, ncols) == dem.grid_shape(xy, origin, cell)
+        assert cells.dtype == expected_cells.dtype and np.array_equal(cells, expected_cells)
+        assert slot.dtype == expected_slot.dtype and np.array_equal(slot, expected_slot)
+
     def test_limit_is_inclusive(self):
         # a 4,096 x 8,192 grid holds exactly MAX_GRID_CELLS; one more column fails
         assert 4096 * 8192 == dem.MAX_GRID_CELLS
@@ -266,6 +287,56 @@ class TestGroundQueries:
         dem = refine_dem(build_height_grid(np.concatenate([points, far]), 0.5), 10.0, 1.0, 0.3)
         heights, known = ground_heights(dem, [[5.0, 5.0]])
         assert not known[0] and heights[0] == NODATA
+
+
+def reference_ground_heights(grid, xy):
+    """Clipped 2-D indexing and np.where: the lookup as first written."""
+    row, col = grid.cell_of(xy)
+    nrows, ncols = grid.shape
+    inside = (row >= 0) & (row < nrows) & (col >= 0) & (col < ncols)
+    rs, cs = np.clip(row, 0, nrows - 1), np.clip(col, 0, ncols - 1)
+    known = inside & grid.valid[rs, cs]
+    return np.where(known, grid.heights[rs, cs], NODATA), known
+
+
+class TestGroundHeightsProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           cell=st.sampled_from([0.5, 1.0, 0.3]))
+    def test_matches_reference(self, seed, shape, cell):
+        rng = np.random.default_rng(seed)
+        valid = rng.random(shape) < 0.6
+        heights = np.where(valid, rng.normal(0, 1, shape), NODATA)
+        grid = DemGrid((-1.0, 2.0), cell, heights, valid.astype(np.int64) * 3, valid)
+        # queries inside, on the edges of and well outside the grid
+        xy = rng.uniform(-3.0, 4.0 + 8 * cell, size=(200, 2)) + [-1.0, 2.0]
+        xy[:4] = [[-1.0, 2.0], [-1.0 + shape[1] * cell, 2.0], [-1.0, 2.0 + shape[0] * cell],
+                  [-1.0 - 1e-12, 2.0]]
+        got, known = ground_heights(grid, xy)
+        expected, expected_known = reference_ground_heights(grid, xy)
+        assert got.tobytes() == expected.tobytes() and np.array_equal(known, expected_known)
+
+
+class TestStageMemory:
+    def test_ground_model_peak_per_point(self, rng):
+        # every point a ground candidate: the DEM stage's worst case. The
+        # peak holds the candidates' indices and coordinates plus the
+        # binning and lower-median arrays: 56.6 bytes per point here (the
+        # unit weights, float temporaries and np.unique inverse of the
+        # earlier binning read 105.5)
+        n = 100_000
+        points = np.column_stack([rng.uniform(0, 40, size=(n, 2)), rng.normal(0, 0.02, n)])
+        cloud = PointCloud(points, {"stick": np.ones(n), "nx": np.zeros(n),
+                                    "ny": np.zeros(n), "nz": np.ones(n)})
+        ground_model(cloud, GroundParams())   # first calls import lazily
+        tracemalloc.start()
+        try:
+            ground_idx, refined = ground_model(cloud, GroundParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ground_idx) == n and refined.valid.any()
+        assert peak < 64 * n
 
 
 class TestAsciiExport:

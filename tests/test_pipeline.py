@@ -5,13 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curbmap import (CropBox, CurbmapError, PipelineConfig, PipelineError, PointCloud,
+from curbmap import (CropBox, CurbmapError, EmptyInputError, PipelineConfig, PipelineError, PointCloud,
                      SceneSpec, SemanticLabel, detect_curbs, generate_scene, read_compact,
                      run_pipeline, saliency_field, write_cloud)
 from curbmap import cli, pipeline, voting
 from curbmap.cli import main
 from curbmap.pipeline import STAGES
 from curbmap.scene import curb_face_distance
+
+from conftest import STREET_CURB
 
 SMALL_SPEC = SceneSpec(extent=10.0, road_width=5.0, wall_x=(4.0,),
                        canopy_blobs=((-3.5, 0.0, 1.0),), density=150.0, seed=4)
@@ -199,6 +201,65 @@ canopy_blobs =
 density = 100.0
 seed = 12
 """
+
+
+def _plane(half=1.0, spacing=0.05):
+    side = np.arange(-half, half + spacing / 2, spacing)
+    gx, gy = np.meshgrid(side, side)
+    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+
+
+_PLANE = _plane()
+_LINE = np.linspace(0.0, 3.0, 300)
+_NOISE = np.random.default_rng(7)
+DEGENERATE_CLOUDS = {
+    "one_point": np.array([[1.0, 2.0, 3.0]]),
+    "two_points": np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]),
+    "duplicates": np.tile([[1.0, 2.0, 3.0]], (40, 1)),
+    "line": np.column_stack([_LINE, np.zeros(300), np.zeros(300)]),
+    "vertical_line": np.column_stack([np.zeros(300), np.zeros(300), _LINE]),
+    "plane": _PLANE,
+    "plane_60deg": np.column_stack([_PLANE[:, :2], np.tan(np.radians(60.0)) * _PLANE[:, 0]]),
+    "plane_point_1000km_up": np.vstack([_PLANE, [0.0, 0.0, 1e6]]),
+    "plane_duplicate_cluster": np.vstack([_PLANE, np.tile([0.3, 0.3, 0.0], (500, 1))]),
+    "plane_1nm_jitter": _PLANE + _NOISE.normal(0.0, 1e-9, _PLANE.shape),
+    "noise_ball": _NOISE.normal(0.0, 0.3, (1500, 3)),
+    "plane_at_utm": _PLANE + [499980.0, 4999980.0, 100.0],
+    "plane_0.5mm_wide": _PLANE * 0.00025,
+}
+
+
+class TestAwkwardClouds:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_CLOUDS))
+    def test_degenerate_cloud_result_or_empty_dem(self, name):
+        # no raw numpy error and no warning: a result, or a typed failure
+        # at dem because no point or cell qualifies as ground
+        try:
+            result = run_pipeline(PipelineConfig(), cloud=PointCloud(DEGENERATE_CLOUDS[name]))
+        except PipelineError as err:
+            assert err.stage == "dem" and isinstance(err.cause, EmptyInputError), err
+        else:
+            assert len(result.cloud) == len(DEGENERATE_CLOUDS[name])
+            assert result.grid.labels.size == result.timing.counts["grid_cells"] > 0
+
+    def test_street_at_utm_coordinates(self):
+        # the offset is a whole number of every cell size, so the grids
+        # keep their lattice; only the saliencies' last bits move (at most
+        # 2.5e-8 on this scene, 7e-8 on the full-density street)
+        cloud = generate_scene(SceneSpec(density=60.0))
+        offset = np.array([499980.0, 4999980.0, 100.0])
+        config = PipelineConfig(curb=STREET_CURB)
+        base = run_pipeline(config, cloud=PointCloud(cloud.points))
+        moved = run_pipeline(config, cloud=PointCloud(cloud.points + offset))
+        assert len(base.detection.indices) > 500
+        assert np.array_equal(moved.detection.indices, base.detection.indices)
+        assert np.array_equal(moved.grid.labels, base.grid.labels)
+        assert np.array_equal(moved.dem.valid, base.dem.valid)
+        assert np.array_equal(np.subtract(moved.dem.origin, base.dem.origin), offset[:2])
+        for name in ("stick", "plate", "ball", "nx", "ny", "nz", "zsal"):
+            diff = np.abs(moved.cloud.channel(name) - base.cloud.channel(name)).max()
+            assert diff < 1e-7, (name, diff)
 
 
 class TestCli:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curbmap import (EmptyInputError, PointCloud, VotingParams, build_index, decay,
-                     decompose_batch, saliencies, saliency_field, sparse_vote)
+from curbmap import (EmptyInputError, PointCloud, VotingParams, attach_saliencies, build_index,
+                     decay, decompose_batch, saliencies, saliency_field, sparse_vote)
 from curbmap import neighbors, voting
 from curbmap.scene import SceneSpec, _sample_grid, generate_scene
 from curbmap.voting import CUTOFF_SIGMAS
@@ -380,6 +380,55 @@ def plane_patch(rng, half=1.5, density=450.0, noise=0.01):
     xy = _sample_grid(rng, -half, half, -half, half, density, jitter=0.1)
     points = np.column_stack([xy, np.zeros(len(xy))])
     return points + rng.normal(0, noise, points.shape)
+
+
+SALIENCY_CHANNELS = ("stick", "plate", "ball", "nx", "ny", "nz", "zsal")
+
+
+def whole_array_channels(tensors):
+    """The seven saliency channels from one decompose_batch call on every row."""
+    lam, vecs = decompose_batch(tensors)
+    stick, plate, ball = saliencies(lam)
+    nx, ny, nz = vecs[:, 0, 0], vecs[:, 0, 1], vecs[:, 0, 2]
+    return dict(zip(SALIENCY_CHANNELS, (stick, plate, ball, nx, ny, nz, np.abs(nz) * stick)))
+
+
+class TestAttachSaliencies:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    def test_row_chunks_equal_whole_array(self, rng, rows, monkeypatch):
+        # 307 rows is a multiple of none of the chunk sizes, so the last
+        # chunk is short; repeated and diagonal rows give degenerate spectra
+        points = rng.uniform(0, 1.5, size=(307, 3))
+        points[:12] = points[12]
+        tensors = grid_vote(points, VotingParams(sigma=0.4))
+        tensors[40] = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0]
+        expected = whole_array_channels(tensors)
+        monkeypatch.setattr(voting, "_DECOMPOSE_ROWS", rows)
+        field = attach_saliencies(cloud_of(points), tensors)
+        for name in SALIENCY_CHANNELS:
+            got = field.channel(name)
+            assert got.dtype == expected[name].dtype and got.tobytes() == expected[name].tobytes(), name
+
+    def test_peak_memory_near_channels(self, rng):
+        # the eigenvalues and eigenvectors live one chunk at a time, so the
+        # peak is the seven channels plus a chunk's working arrays and the
+        # new cloud's finiteness check: 1.09x the channels here (the
+        # whole-array decomposition read 2.71x)
+        n = 100_000
+        tensors = np.array([3.0, 0.0, 0.0, 3.0, 0.0, 3.0]) + rng.uniform(-1, 1, size=(n, 6))
+        cloud = cloud_of(np.zeros((n, 3)))
+        tracemalloc.start()
+        try:
+            field = attach_saliencies(cloud, tensors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(SALIENCY_CHANNELS) <= set(field.channels)
+        assert peak < 1.25 * 7 * n * 8
+
+    def test_empty_tensors(self):
+        field = attach_saliencies(cloud_of(np.zeros((0, 3))), np.zeros((0, 6)))
+        assert all(field.channel(name).shape == (0,) for name in SALIENCY_CHANNELS)
 
 
 class TestSaliencyField:
