@@ -1,75 +1,103 @@
 #!/usr/bin/env python3
-"""Generate the synthetic street, run the full pipeline, score the result.
+"""Run the pipeline over benchmark scenes and settings, and score each run.
 
-Writes the labeled cloud, DEM, raster, and compact grid into an output
-directory and prints stage timings plus detection quality against the
-scene's ground truth. Each written file is listed with its sha256, so the
-outputs of two checkouts can be compared for byte identity. The labeled
-cloud is then parsed back: `time_reparse_s` is the text parse time of
-the standard street, and the values read must equal the ones written.
+For every workload, seed, sigma and plate threshold, generates the
+workload's scene (perfbench/workloads.py), runs the pipeline on it in
+memory with the benchmark's curb settings, writes the four outputs into
+--out and prints one JSON line: the grid point, the run report, curb
+recall/precision and grid accuracy against the scene's truth
+(perfbench/measure.py's `quality`), how many detected curb points are
+canopy, the sha256 of each written file, and whether the labeled cloud
+parses back to exactly the values written (`reparse_s` is that text
+parse's time). The defaults are the standard street demo; a sweep:
+
+    python scripts/run_street_demo.py --workloads street,survey --seeds 0,1,2 \\
+        --sigmas 0.25,0.3 --taus 0.3,0.35,0.4 --threads 1
 """
 
 import argparse
 import hashlib
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from curbmap import (ClassifyParams, CurbParams, PipelineConfig, SceneSpec,
-                     generate_scene, parse_cloud, run_pipeline, truth_grid)
-from curbmap.scene import curb_face_distance
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from measure import quality  # noqa: E402
+from workloads import CURB_PARAMS, WORKLOADS  # noqa: E402
+
+from curbmap import (CurbParams, PipelineConfig, SceneSpec, VotingParams,  # noqa: E402
+                     generate_scene, parse_cloud, run_pipeline)
+from curbmap.scene import TRUTH_CANOPY  # noqa: E402
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--out", default="street_out", help="output directory")
-    ap.add_argument("--threads", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    spec = SceneSpec(seed=args.seed)
-    cloud = generate_scene(spec)
-    print(f"scene: {len(cloud)} points over {spec.extent} m x {spec.extent} m")
-
+def run(workload: str, spec: SceneSpec, sigma: float, tau: float, threads: int,
+        out: Path) -> bool:
+    """One pipeline run on the workload's scene: print its JSON line and
+    return whether the labeled cloud parsed back exactly."""
+    fmt = "pcd" if WORKLOADS[workload].source == "pcd" else "xyz"
     config = PipelineConfig(
-        curb=CurbParams(plate_threshold=0.35, outlier_min_neighbors=5),
-        threads=args.threads,
-        out_cloud=str(out / "street_labeled.xyz"),
-        out_dem=str(out / "street_dem.asc"),
-        out_raster=str(out / "street_map.ppm"),
-        out_grid=str(out / "street_map.sgrd"),
+        input_format=fmt,
+        voting=VotingParams(sigma=sigma),
+        curb=CurbParams(**{**CURB_PARAMS, "plate_threshold": tau}),
+        threads=threads,
+        out_cloud=str(out / f"{workload}_labeled.{fmt}"),
+        out_dem=str(out / f"{workload}_dem.asc"),
+        out_raster=str(out / f"{workload}_map.ppm"),
+        out_grid=str(out / f"{workload}_map.sgrd"),
     )
-    result = run_pipeline(config, cloud=cloud)
-    print(result.timing)
-
-    band = curb_face_distance(spec, result.cloud.points) <= 0.1
-    detected = np.zeros(len(result.cloud), dtype=bool)
-    detected[result.detection.indices] = True
-    tp = int((detected & band).sum())
-    print(f"curb recall: {tp / band.sum():.3f}")
-    print(f"curb precision: {tp / max(detected.sum(), 1):.3f}")
-
-    reference = truth_grid(result.cloud, spec, ClassifyParams())
-    accuracy = (result.grid.labels == reference.labels).mean()
-    print(f"semantic grid accuracy: {accuracy:.3f}")
-    for path in result.written:
-        print(f"wrote: {path} sha256 {hashlib.sha256(Path(path).read_bytes()).hexdigest()}")
+    result = run_pipeline(config, cloud=generate_scene(spec))
+    curbs = result.detection.indices
+    sha256 = {Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+              for path in result.written}
 
     data = Path(config.out_cloud).read_bytes()
     t0 = time.perf_counter()
-    back, _ = parse_cloud(data, "xyz")
-    print(f"time_reparse_s: {time.perf_counter() - t0:.3f}")
+    back, _ = parse_cloud(data, fmt)
+    reparse_s = time.perf_counter() - t0
     curb_conf = np.zeros(len(result.cloud))
-    curb_conf[result.detection.indices] = result.detection.confidence
+    curb_conf[curbs] = result.detection.confidence
     written = [result.cloud.points, *result.cloud.channels.values(), curb_conf]
-    read = [back.points, *back.channels.values()]
-    if not np.array_equal(np.column_stack(read), np.column_stack(written)):
+    exact = np.array_equal(np.column_stack([back.points, *back.channels.values()]),
+                           np.column_stack(written))
+
+    print(result.timing.to_json(
+        workload=workload, seed=spec.seed, sigma=sigma, tau=tau,
+        quality=quality(spec, result),
+        canopy_curb_points=int((result.cloud.channel("truth")[curbs] == TRUTH_CANOPY).sum()),
+        sha256=sha256, reparse_s=reparse_s, reparse_exact=exact), flush=True)
+    return exact
+
+
+def main():
+    def listed(kind):
+        return lambda text: [kind(v) for v in text.split(",")]
+
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workloads", type=listed(str), default=["street"],
+                    help=f"comma-separated, of {', '.join(WORKLOADS)}")
+    ap.add_argument("--seeds", type=listed(int), default=[0], help="scene seeds")
+    ap.add_argument("--sigmas", type=listed(float), default=[0.3],
+                    help="voting decay scales in meters")
+    ap.add_argument("--taus", type=listed(float), default=[0.35],
+                    help="curb plate thresholds")
+    ap.add_argument("--out", default="street_out", help="output directory")
+    ap.add_argument("--threads", type=int, default=2)
+    args = ap.parse_args()
+    unknown = set(args.workloads) - set(WORKLOADS)
+    if unknown:
+        ap.error(f"unknown workloads: {', '.join(sorted(unknown))}")
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    exact = [run(workload, SceneSpec(**WORKLOADS[workload].scene_kwargs(seed)),
+                 sigma, tau, args.threads, out)
+             for workload in args.workloads for seed in args.seeds
+             for sigma in args.sigmas for tau in args.taus]
+    if not all(exact):
         raise SystemExit("labeled cloud round trip is not exact")
-    print("labeled cloud round trip: exact")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ Typical runs:
     curbmap --input street.xyz --format xyz --out-grid street.sgrd \
             --out-raster street.ppm --threads 4
 
-Flags override values from --config. Exit code 0 on success; a failed
-stage prints a stage-named diagnostic to stderr and exits nonzero.
+Flags override values from --config. A run prints its report and the
+files written on stdout as one JSON object. Exit code 0 on success; a
+failed stage prints a stage-named diagnostic to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import configparser
 from .cloud import cloud_chunks
 from .config import (PipelineConfig, config_sections, default_config_text, ini_parser,
                      parse_config, read_section)
-from .errors import CurbmapError, PipelineError
+from .errors import CurbmapError
 from .pipeline import run_pipeline
 from .scene import SceneSpec, generate_scene
 
@@ -41,8 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dem", help="write the refined DEM (ASCII grid) here")
     p.add_argument("--out-raster", help="write the semantic raster (P6 pixmap) here")
     p.add_argument("--out-grid", help="write the compact semantic grid (SGRD) here")
-    p.add_argument("--report", metavar="PATH",
-                   help="write the run report (stage seconds, counts, peak RSS) as JSON here")
     p.add_argument("--gen-scene", metavar="SPEC",
                    help="generate a synthetic scene from SPEC and write it to --out-cloud")
     p.add_argument("--write-default-config", action="store_true",
@@ -97,16 +96,8 @@ def main(argv: list[str] | None = None) -> int:
             print("error: no input (use --input or a config file)", file=sys.stderr)
             return 2
         result = run_pipeline(config)
-        for line in result.timing.lines():
-            print(line)
-        if args.report:
-            Path(args.report).write_text(result.timing.to_json() + "\n")
-        for path in result.written:
-            print(f"wrote: {path}")
+        print(result.timing.to_json(written=result.written))
         return 0
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (CurbmapError, OSError, ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

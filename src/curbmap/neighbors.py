@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
+from .dem import _cells_along
 from .errors import CurbmapError
 
 # Cells whose candidate lists are built together: bounds the lists alive
@@ -181,9 +182,12 @@ def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
     if not (spans < 2.0 ** 63).all() or math.prod(int(d) for d in spans) >= 2 ** 63:
         raise CurbmapError(f"extent {tuple(extent.tolist())} at cell size {cell_size} "
                            f"needs 2**63 or more grid cells")
-    cc = np.floor((pts - origin) / cell_size).astype(np.int64)
     dims = spans.astype(np.int64)
-    keys = (cc[:, 0] * dims[1] + cc[:, 1]) * dims[2] + cc[:, 2]
+    # (cx * dims[1] + cy) * dims[2] + cz, folded in one axis at a time
+    keys = _cells_along(pts, origin, cell_size, 0).astype(np.int64)
+    for axis in (1, 2):
+        keys *= dims[axis]
+        keys += _cells_along(pts, origin, cell_size, axis).astype(np.int64)
     order = np.argsort(keys, kind="stable")
     cell_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
     return UniformGridIndex(cloud, float(cell_size), origin, dims,

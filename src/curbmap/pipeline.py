@@ -36,10 +36,11 @@ STAGES = ("parse", "crop", "index", "vote", "decompose", "dem", "curb", "grid", 
 class TimingReport:
     """Wall time per stage, point counts flowing through the filters, peak memory.
 
-    counts also holds the label histogram, one grid_<label> entry per
-    SemanticLabel. peak_rss_mb is the process's high-water resident set
-    size in MiB, read when the run ends: in a process that runs several
-    pipelines it is the largest so far, not this run's own.
+    counts also holds sparse_vote's counters and the label histogram,
+    one grid_<label> entry per SemanticLabel. peak_rss_mb is the
+    process's high-water resident set size in MiB, read when the run
+    ends: in a process that runs several pipelines it is the largest so
+    far, not this run's own.
     stage_peak_rss_mb is the same high-water mark read as each stage
     ends, so the first stage at which it reaches peak_rss_mb is the one
     that set the run's peak.
@@ -54,27 +55,14 @@ class TimingReport:
     def total(self) -> float:
         return sum(self.seconds.values())
 
-    def lines(self) -> list[str]:
-        out = [f"time_{stage}_s: {self.seconds[stage]:.6f}"
-               for stage in STAGES if stage in self.seconds]
-        out.append(f"time_total_s: {self.total:.6f}")
-        out += [f"{key}: {value}" for key, value in self.counts.items()]
-        out.append(f"peak_rss_mb: {self.peak_rss_mb:.1f}")
-        out.append("stage_peak_rss_mb: " + " ".join(
-            f"{stage}={mb:.1f}" for stage, mb in self.stage_peak_rss_mb.items()))
-        return out
-
-    def to_json(self) -> str:
-        """The report as a JSON object: seconds, total_s, counts, peak_rss_mb,
-        stage_peak_rss_mb."""
+    def to_json(self, **extra) -> str:
+        """The report as one line of JSON: seconds, total_s, counts,
+        peak_rss_mb, stage_peak_rss_mb, then the keys of `extra`."""
         return json.dumps({"seconds": {stage: self.seconds[stage]
                                        for stage in STAGES if stage in self.seconds},
                            "total_s": self.total, "counts": self.counts,
                            "peak_rss_mb": self.peak_rss_mb,
-                           "stage_peak_rss_mb": self.stage_peak_rss_mb}, indent=2)
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
+                           "stage_peak_rss_mb": self.stage_peak_rss_mb, **extra})
 
 
 @dataclass
@@ -144,7 +132,8 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
         clock.stop()
 
         clock.start("vote")
-        tensors = voting.sparse_vote(cloud, index, config.voting, threads=config.threads)
+        tensors = voting.sparse_vote(cloud, index, config.voting, threads=config.threads,
+                                     counts=report.counts)
         del index
         clock.stop()
 

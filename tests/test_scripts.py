@@ -1,13 +1,16 @@
 """Every script under scripts/ imports cleanly and prints its help.
 
 The scripts import from curbmap, so a name retired from the package
-shows up here as an ImportError. The package itself imports nothing
-beyond the standard library and numpy, and every function the
-benchmark's tracer wraps still exists where the tracer looks for it.
+shows up here as an ImportError. The demo's per-run code runs on a
+thinned street. The package itself imports nothing beyond the standard
+library and numpy, and every function the benchmark's tracer wraps
+still exists where the tracer looks for it.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,7 +28,8 @@ def test_scripts_found():
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
 def test_help_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # the demo imports perfbench's modules: no bytecode is written there
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, str(script), "--help"], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -53,3 +57,26 @@ def test_benchmark_trace_points_resolve(monkeypatch):
     missing = [f"{module}.{attr}" for module, attr, _ in spans.TRACE_POINTS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert spans.TRACE_POINTS and not missing, missing
+
+
+def test_demo_run_prints_scored_report(tmp_path, monkeypatch, capsys):
+    # the demo imports perfbench's modules: no bytecode is written there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("demo", ROOT / "scripts" / "run_street_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    scene = demo.SceneSpec(**demo.WORKLOADS["street"].scene_kwargs(0, scale=0.2))
+    assert demo.run("street", scene, 0.3, 0.35, 2, tmp_path)
+    line = json.loads(capsys.readouterr().out)
+    assert (line["workload"], line["seed"], line["sigma"], line["tau"]) == ("street", 0, 0.3, 0.35)
+    assert set(line["quality"]) == {"curb_recall", "curb_precision", "grid_accuracy"}
+    assert 0.5 < line["quality"]["grid_accuracy"] <= 1.0
+    counts = line["counts"]
+    assert counts["vote_pairs_examined"] > counts["vote_pairs_in_radius"] > 0
+    assert counts["vote_blocks"] > 0 and counts["vote_max_block_pairs"] > 0
+    assert line["canopy_curb_points"] <= counts["curb_points"]
+    assert line["reparse_exact"] is True
+    files = ["street_labeled.xyz", "street_dem.asc", "street_map.ppm", "street_map.sgrd"]
+    assert line["sha256"] == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                              for name in files}

@@ -12,7 +12,7 @@ from curbmap import neighbors, voting
 from curbmap.scene import SceneSpec, _sample_grid, generate_scene
 from curbmap.voting import CUTOFF_SIGMAS
 
-from oracles import (ball_vote_quadrature, double_loop_vote, frobenius,
+from oracles import (ball_vote_quadrature, count_vote_pairs, double_loop_vote, frobenius,
                      random_rotation, sym_to_matrices)
 
 E_INV = 0.36787944117144233  # exp(-1)
@@ -346,6 +346,36 @@ class TestSplitBlocks:
         expected = double_loop_vote(points, params.sigma, params.cutoff)
         assert np.array_equal(got, expected)
         assert np.array_equal(got[[0, 4, 8]], np.tile([1.0, 0, 0, 1.0, 0, 1.0], (3, 1)))
+
+
+class TestVoteCounters:
+    """sparse_vote's counts against a per-block recount, at every thread count."""
+
+    @pytest.mark.parametrize("scene", ["dense_with_duplicates", "thin_street"])
+    def test_counters_equal_reference(self, scene, rng, monkeypatch):
+        if scene == "thin_street":
+            points = generate_scene(SceneSpec(density=40.0)).points
+            params = VotingParams(sigma=0.3)
+        else:
+            # above the pair budget, so octant splits and row chunks, and
+            # exact duplicates, whose d = 0 pairs are examined but not in radius
+            points = rng.uniform(0, 1.5, size=(2700, 3))
+            points = np.vstack([points, points[:300]])
+            params = TestSplitBlocks.PARAMS
+        cloud = cloud_of(points)
+        index = build_index(cloud, params.cutoff)
+        expected = count_vote_pairs(index, params.cutoff)
+        assert 0 < expected["vote_pairs_in_radius"] < expected["vote_pairs_examined"]
+        seen = block_spy(monkeypatch)
+        for threads in (1, 2, 4):
+            seen.clear()
+            counts = {}
+            sparse_vote(cloud, index, params, threads=threads, counts=counts)
+            assert counts == expected
+            assert counts["vote_blocks"] == len(seen)
+            assert counts["vote_max_block_pairs"] == max(rows * cols for rows, cols in seen)
+        if scene != "thin_street":
+            assert counts["vote_blocks"] > index.cell_count   # dense cells were split
 
 
 class TestOffsetBuffer:
