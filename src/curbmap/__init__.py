@@ -8,7 +8,7 @@ and project everything into a semantic occupancy grid.
 """
 
 from .cloud import CropBox, ParseSummary, PointCloud, crop, parse_cloud, write_cloud
-from .config import PipelineConfig, default_config_text, parse_config, write_config
+from .config import PipelineConfig, default_config_text, parse_config
 from .curb import (CurbDetection, CurbParams, detect_curbs, height_gate,
                    outlier_removal, plate_candidates)
 from .dem import (DemGrid, GroundParams, build_height_grid,

@@ -3,7 +3,6 @@
 Typical runs:
 
     curbmap --write-default-config > pipeline.cfg
-    curbmap --gen-scene scene.cfg --out-cloud street.xyz
     curbmap --input street.xyz --format xyz --out-grid street.sgrd \
             --out-raster street.ppm --threads 4
 
@@ -15,18 +14,13 @@ failed stage prints a stage-named diagnostic to stderr and exits 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import configparser
 import sys
 from pathlib import Path
 
-import configparser
-
-from .cloud import cloud_chunks
-from .config import (PipelineConfig, config_sections, default_config_text, ini_parser,
-                     parse_config, read_section)
+from .config import PipelineConfig, config_sections, default_config_text, parse_config
 from .errors import CurbmapError
 from .pipeline import run_pipeline
-from .scene import SceneSpec, generate_scene
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,26 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dem", help="write the refined DEM (ASCII grid) here")
     p.add_argument("--out-raster", help="write the semantic raster (P6 pixmap) here")
     p.add_argument("--out-grid", help="write the compact semantic grid (SGRD) here")
-    p.add_argument("--gen-scene", metavar="SPEC",
-                   help="generate a synthetic scene from SPEC and write it to --out-cloud")
     p.add_argument("--write-default-config", action="store_true",
                    help="print a documented default config and exit")
     return p
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _scene_spec_from_file(path: str) -> SceneSpec:
-    cp = ini_parser()
-    cp.read_string(Path(path).read_text())
-    if cp.sections() != ["scene"]:
-        raise CurbmapError(f"{path}: expected one [scene] section, got {cp.sections()}")
-    special = {"wall_x": _floats,
-               "canopy_blobs": lambda t: tuple(map(_floats, filter(str.strip, t.split(";"))))}
-    keys = {f.name: f.name for f in dataclasses.fields(SceneSpec)}
-    return SceneSpec(**read_section(cp.items("scene"), "scene", SceneSpec(), keys, special))
 
 
 def _merge_config(args: argparse.Namespace) -> PipelineConfig:
@@ -80,17 +57,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        if args.gen_scene:
-            if not args.out_cloud:
-                print("error: --gen-scene requires --out-cloud", file=sys.stderr)
-                return 2
-            spec = _scene_spec_from_file(args.gen_scene)
-            cloud = generate_scene(spec)
-            with open(args.out_cloud, "wb") as out:
-                out.writelines(cloud_chunks(cloud, args.format or "xyz"))
-            print(f"wrote {len(cloud)} points to {args.out_cloud}")
-            return 0
-
         config = _merge_config(args)
         if not config.input_path:
             print("error: no input (use --input or a config file)", file=sys.stderr)

@@ -4,14 +4,11 @@ The file uses INI sections named after the package modules. Every value
 has a default; a template with all defaults and inline documentation
 comes from default_config_text() (the CLI's --write-default-config).
 Keys come from one section table; an unknown section or key is an error.
-Serialization uses repr for floats so parse(write(config)) reproduces an
-equal config exactly.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field, fields
 
 from .cloud import CropBox
@@ -65,12 +62,8 @@ def config_sections(config: PipelineConfig):
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, CropBox):
-        return ",".join(_fmt(v) for v in (*value.min_corner, *value.max_corner))
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -84,58 +77,16 @@ def parse_crop(text: str) -> CropBox | None:
     return CropBox(tuple(parts[:3]), tuple(parts[3:]))
 
 
-def ini_parser() -> configparser.ConfigParser:
-    """INI reader without interpolation, where [DEFAULT] is an ordinary section."""
-    return configparser.ConfigParser(interpolation=None, default_section="")
-
-
-def read_section(items, section: str, defaults, keys: dict[str, str],
-                 special: dict) -> dict:
-    """{attribute: value} from the `key = text` items of one section.
-
-    keys maps each key to an attribute of `defaults`, whose type (float
-    for None) converts the text; blank text keeps the default. special
-    maps an attribute to its own converter, which gets blank text too.
-    An unknown key or a bad value raises ValueError naming [section] key.
-    """
-    given = {}
-    for key, raw in items:
-        if key not in keys:
-            raise ValueError(f"[{section}] {key}: unknown key")
-        attr, text = keys[key], raw.strip()
-        if attr in special:
-            try:
-                given[attr] = special[attr](text)
-            except ValueError as exc:
-                raise ValueError(f"[{section}] {key}: {exc}") from None
-        elif text:
-            default = getattr(defaults, attr)
-            kind = float if default is None else type(default)
-            try:
-                given[attr] = _BOOLS[text.lower()] if kind is bool else kind(text)
-            except (KeyError, ValueError):
-                raise ValueError(f"[{section}] {key}: expected {kind.__name__}, "
-                                 f"got {text!r}") from None
-    return given
-
-
-def write_config(config: PipelineConfig) -> str:
-    """Serialize a config to the key = value file format."""
-    cp = ini_parser()
-    for section, _, owner, keys in config_sections(config):
-        cp[section] = {key: _fmt(getattr(owner, attr)) for key, attr in keys.items()}
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
 def parse_config(text: str, overrides: dict[str, dict[str, str]] | None = None) -> PipelineConfig:
     """Config from file text; missing or blank keys keep their defaults.
 
     overrides, {section: {key: text}}, replace single file values before
     they are read, so a blank or absent cutoff still follows an overridden
-    sigma. An unknown section or key raises ValueError."""
-    cp = ini_parser()
+    sigma. Each value converts by its default's type (float for None;
+    crop by parse_crop). An unknown section or key, or a bad value,
+    raises ValueError naming [section] key."""
+    # no interpolation, and [DEFAULT] is an ordinary (so unknown) section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.read_string(text)
     cp.read_dict(overrides or {})
     for section in cp.sections():
@@ -143,8 +94,24 @@ def parse_config(text: str, overrides: dict[str, dict[str, str]] | None = None) 
             raise ValueError(f"[{section}]: unknown config section")
     values = {}
     for section, field_name, owner, keys in config_sections(PipelineConfig()):
-        items = cp.items(section) if cp.has_section(section) else []
-        given = read_section(items, section, owner, keys, {"crop": parse_crop})
+        given = {}
+        for key, raw in cp.items(section) if cp.has_section(section) else []:
+            if key not in keys:
+                raise ValueError(f"[{section}] {key}: unknown key")
+            attr, text = keys[key], raw.strip()
+            if attr == "crop":
+                try:
+                    given[attr] = parse_crop(text)
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key}: {exc}") from None
+            elif text:
+                default = getattr(owner, attr)
+                kind = float if default is None else type(default)
+                try:
+                    given[attr] = _BOOLS[text.lower()] if kind is bool else kind(text)
+                except (KeyError, ValueError):
+                    raise ValueError(f"[{section}] {key}: expected {kind.__name__}, "
+                                     f"got {text!r}") from None
         if field_name:
             values[field_name] = type(owner)(**given)
         else:

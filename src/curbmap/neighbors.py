@@ -189,10 +189,15 @@ def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
         keys *= dims[axis]
         keys += _cells_along(pts, origin, cell_size, axis).astype(np.int64)
     order = np.argsort(keys, kind="stable")
-    cell_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    # a cell starts where the sorted keys change value
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(keys))
     return UniformGridIndex(cloud, float(cell_size), origin, dims,
-                            cell_keys, starts.astype(np.int64), counts.astype(np.int64),
-                            order.astype(np.int64))
+                            keys[starts], starts, counts, order.astype(np.int64, copy=False))
 
 
 def _count_block(qp, cp, r2: float) -> np.ndarray:
@@ -218,9 +223,9 @@ def radius_neighbors(index: UniformGridIndex, radius: float) -> np.ndarray:
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    coords = np.ascontiguousarray(index.cloud.points.T)
+    points = index.cloud.points
     counts = np.zeros(len(index.cloud), dtype=np.int64)
     r2 = radius * radius
     for recv, cand in index.blocks(range(index.cell_count), radius):
-        counts[recv] = _count_block(coords[:, recv], coords[:, cand], r2)
+        counts[recv] = _count_block(points[recv].T, points[cand].T, r2)
     return counts

@@ -188,7 +188,7 @@ def sparse_vote(
     n = len(cloud)
     if n == 0:
         raise EmptyInputError("cannot vote over an empty cloud")
-    coords = np.ascontiguousarray(cloud.points.T)
+    points = cloud.points
     r2 = params.cutoff * params.cutoff
     s2 = params.sigma * params.sigma
     out = np.zeros((n, 6))
@@ -198,7 +198,7 @@ def sparse_vote(
         radius, and largest block."""
         blocks = examined = in_radius = largest = 0
         for recv, cand in index.blocks(batch, params.cutoff):
-            out[recv], hits = _reduce_block(coords[:, recv], coords[:, cand], r2, s2)
+            out[recv], hits = _reduce_block(points[recv].T, points[cand].T, r2, s2)
             pairs = len(recv) * len(cand)
             blocks, examined, in_radius = blocks + 1, examined + pairs, in_radius + hits
             largest = max(largest, pairs)
@@ -216,7 +216,8 @@ def sparse_vote(
         counts.update(vote_blocks=sum(blocks), vote_pairs_examined=sum(examined),
                       vote_pairs_in_radius=sum(in_radius), vote_max_block_pairs=max(largest))
     if params.include_self:
-        out[:, (0, 3, 5)] += 1.0
+        for col in (0, 3, 5):   # in place, not through a fancy-indexed copy
+            out[:, col] += 1.0
     return out
 
 

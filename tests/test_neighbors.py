@@ -47,8 +47,9 @@ class TestBuildIndex:
 
     def test_peak_per_point(self, rng):
         # cell keys are folded one axis at a time from one float column,
-        # not from (n, 3) temporaries: reads 51.8 bytes per point here,
-        # 75.8 with the four (n, 3) temporaries it replaced
+        # not from (n, 3) temporaries: reads 24.0 bytes per point here
+        # (51.8 while np.unique sorted the keys a second time), 75.8 with
+        # the four (n, 3) temporaries it replaced
         cloud = cloud_of(rng.uniform(0, 20, size=(200_000, 3)))
         tracemalloc.start()
         try:
@@ -57,6 +58,18 @@ class TestBuildIndex:
         finally:
             tracemalloc.stop()
         assert peak < 56 * len(cloud)
+
+    def test_street_peak_per_point(self, street_cloud):
+        # cell starts and counts come from the sorted keys' change mask:
+        # keys, order and the sorted keys read 24.0 bytes per point on the
+        # street, 50.0 when np.unique sorted the sorted keys once more
+        tracemalloc.start()
+        try:
+            build_index(street_cloud, VotingParams(sigma=0.3).cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * len(street_cloud)
 
     def test_nonpositive_cell_size_rejected(self):
         with pytest.raises(ValueError):

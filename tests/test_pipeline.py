@@ -201,16 +201,6 @@ class TestRunPipeline:
         assert result.timing.counts["parse_points"] == len(small_cloud)
 
 
-SCENE_CFG = """[scene]
-extent = 8.0
-road_width = 4.0
-wall_x =
-canopy_blobs =
-density = 100.0
-seed = 12
-"""
-
-
 def _plane(half=1.0, spacing=0.05):
     side = np.arange(-half, half + spacing / 2, spacing)
     gx, gy = np.meshgrid(side, side)
@@ -277,17 +267,10 @@ class TestCli:
         assert "[voting]" in out and "sigma = 0.3" in out
 
     def test_gen_scene_then_run(self, tmp_path, capsys):
-        spec_file = tmp_path / "scene.cfg"
-        spec_file.write_text(SCENE_CFG)
         cloud_file = tmp_path / "street.xyz"
-        assert main(["--gen-scene", str(spec_file), "--out-cloud", str(cloud_file)]) == 0
-        assert capsys.readouterr().out.startswith("wrote ")
-        # written chunk by chunk, the same bytes as write_cloud
-        spec = cli._scene_spec_from_file(str(spec_file))
-        expected = write_cloud(generate_scene(spec), "xyz")
-        assert len(expected) > 10 * 512 * 20   # many row chunks
-        assert cloud_file.read_bytes() == expected
-
+        cloud_file.write_bytes(write_cloud(generate_scene(
+            SceneSpec(extent=8.0, road_width=4.0, wall_x=(), canopy_blobs=(),
+                      density=100.0, seed=12)), "xyz"))
         grid_file = tmp_path / "map.sgrd"
         raster_file = tmp_path / "map.ppm"
         code = main([
@@ -297,6 +280,7 @@ class TestCli:
         ])
         out = capsys.readouterr().out
         assert code == 0
+        assert out.count("\n") == 1
         report = json.loads(out)   # stdout is the one JSON object
         assert report["seconds"]["vote"] > 0.0
         assert report["written"] == [str(raster_file), str(grid_file)]
@@ -325,11 +309,6 @@ class TestCli:
         assert data["peak_rss_mb"] > 0.0
         assert list(data["stage_peak_rss_mb"]) == list(STAGES)
         assert data["written"] == []
-
-    def test_gen_scene_requires_out_cloud(self, tmp_path, capsys):
-        spec_file = tmp_path / "scene.cfg"
-        spec_file.write_text(SCENE_CFG)
-        assert main(["--gen-scene", str(spec_file)]) == 2
 
     def test_missing_input_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -374,31 +353,3 @@ class TestCli:
         assert grid_file.exists()
         assert (seen[0].threads, seen[0].input_path) == (2, str(path))
         assert seen[0].out_grid == str(grid_file)
-
-    @pytest.mark.parametrize("old, new, named", [
-        ("seed = 12", "seed = 12\nbogus_key = 3", "[scene] bogus_key"),
-        ("seed = 12", "seed = x", "[scene] seed"),
-        ("wall_x =", "wall_x = 1,a", "[scene] wall_x"),
-        ("seed = 12", "seed = 12\nseed = 13", "'seed'"),
-    ])
-    def test_bad_scene_file_writes_nothing(self, tmp_path, capsys, old, new, named):
-        spec_file = tmp_path / "scene.cfg"
-        spec_file.write_text(SCENE_CFG.replace(old, new))
-        cloud_file = tmp_path / "street.xyz"
-        assert main(["--gen-scene", str(spec_file), "--out-cloud", str(cloud_file)]) == 1
-        assert named in capsys.readouterr().err
-        assert not cloud_file.exists()
-
-    @pytest.mark.parametrize("section", ["scen", "DEFAULT"])
-    def test_scene_file_extra_section_rejected(self, tmp_path, capsys, section):
-        spec_file = tmp_path / "scene.cfg"
-        spec_file.write_text(SCENE_CFG + f"[{section}]\nseed = 3\n")
-        assert main(["--gen-scene", str(spec_file),
-                     "--out-cloud", str(tmp_path / "street.xyz")]) == 1
-        assert "[scene]" in capsys.readouterr().err
-
-    def test_blank_scene_tuples_mean_none(self, tmp_path):
-        spec_file = tmp_path / "scene.cfg"
-        spec_file.write_text(SCENE_CFG)
-        spec = cli._scene_spec_from_file(str(spec_file))
-        assert (spec.wall_x, spec.canopy_blobs, spec.seed) == ((), (), 12)

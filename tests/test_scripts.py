@@ -2,9 +2,10 @@
 
 The scripts import from curbmap, so a name retired from the package
 shows up here as an ImportError. The demo's per-run code runs on a
-thinned street. The package itself imports nothing beyond the standard
-library and numpy, and every function the benchmark's tracer wraps
-still exists where the tracer looks for it.
+thinned street, and the labeled cloud it writes runs through the CLI.
+The package itself imports nothing beyond the standard library and
+numpy, and every function the benchmark's tracer wraps still exists
+where the tracer looks for it.
 """
 
 import hashlib
@@ -17,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from curbmap import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -80,3 +83,11 @@ def test_demo_run_prints_scored_report(tmp_path, monkeypatch, capsys):
     files = ["street_labeled.xyz", "street_dem.asc", "street_map.ppm", "street_map.sgrd"]
     assert line["sha256"] == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                               for name in files}
+
+    # the labeled cloud the demo wrote is a CLI input
+    grid = tmp_path / "rerun.sgrd"
+    assert cli.main(["--input", str(tmp_path / "street_labeled.xyz"), "--format", "xyz",
+                     "--out-grid", str(grid)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out)["written"] == [str(grid)]

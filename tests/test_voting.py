@@ -189,6 +189,24 @@ class TestSparseVote:
             tracemalloc.stop()
         assert peak < 4 * len(cloud) * 6 * 8
 
+    def test_no_cloud_sized_copy(self, rng):
+        # a 60k-point plane in small blocks, so the block working set
+        # (0.4 MiB) is below a (3, n) coordinate copy (1.4 MiB): the peak
+        # reads 54.8 bytes per point with the (n, 6) output as the only
+        # cloud-sized array, 96.8 with a coordinate copy alive and the
+        # self votes added through an (n, 3) fancy-indexed copy
+        n = 60_000
+        cloud = cloud_of(np.column_stack([rng.uniform(0, 43, size=(n, 2)), np.zeros(n)]))
+        params = VotingParams(sigma=0.3)
+        index = build_index(cloud, params.cutoff)
+        tracemalloc.start()
+        try:
+            sparse_vote(cloud, index, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 6 * 8 + n * 3 * 8
+
     def test_thread_count_does_not_change_bytes(self, rng):
         points = rng.uniform(0, 4, size=(3000, 3))
         cloud = cloud_of(points)
