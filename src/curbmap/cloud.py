@@ -6,17 +6,19 @@ channels on the cloud. Points with non-finite coordinates are dropped at
 parse time and reported in the parse summary rather than failing the
 whole file, since real LiDAR dumps routinely contain NaN returns.
 
-The reader walks its source in chunks of _CHUNK_ROWS lines, each cut
-right after a "\r\n", "\n" or "\r" and decoded on its own, so the
-decoded text is never held whole and a parse peaks at about twice the
-parsed arrays. A pipeline run on a text cloud (perfbench's survey, a
-7.6 MB ASCII PCD) therefore reaches its memory peak in the stages after
-the vote, not at parse. Both formats share one data path, run in
-chunks of rows so that no Python frame runs per value: the data lines
-are split with str.split, row widths are checked with numpy, every
-token of the chunk goes through one map(float, ...) (Python's float
-spellings, nan and 1_0 included) and the values are reshaped, after
-which a numpy mask drops the rows with a non-finite coordinate.
+The reader decodes its source (a str is encoded once) through the
+standard library's universal-newline reader, io.TextIOWrapper, in blocks
+of about _CHUNK_CHARS characters that each end at a "\n", "\r\n" or
+"\r", and splits each block with str.splitlines: the lines are those of
+the whole text split at once, but the decoded text is never held whole,
+so a parse peaks at about twice the parsed arrays and a pipeline run on
+a text cloud (perfbench's survey, a 7.6 MB ASCII PCD) peaks after the
+vote. Both formats share one data path, in chunks of _CHUNK_ROWS lines so
+that no Python frame runs per value: each line is split once with
+str.split, lines without tokens and XYZ comments are dropped, row widths
+are checked with numpy, every token of the chunk goes through one
+map(float, ...) (Python's float spellings, nan and 1_0 included) and a
+numpy mask drops the rows with a non-finite coordinate.
 
 The writer emits the bytes repr would give for every float, the
 shortest text that reads back to the same value, without calling repr:
@@ -30,7 +32,6 @@ reference.
 from __future__ import annotations
 
 import io
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -43,10 +44,12 @@ _PCD_HEADER_ORDER = (
     "VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
     "WIDTH", "HEIGHT", "VIEWPOINT", "POINTS", "DATA",
 )
-# Lines per chunk of the text reader and rows per chunk of the writer:
-# bounds the reader's decoded text and token strings and the writer's
-# arrays alive at once (about 2 MB for 12 columns).
+# Lines per chunk of the data parser and rows per chunk of the writer:
+# bounds the parser's token strings and the writer's arrays alive at
+# once (about 2 MB for 12 columns).
 _CHUNK_ROWS = 512
+# Characters per block of the text reader, about 512 survey PCD rows.
+_CHUNK_CHARS = 1 << 15
 
 
 @dataclass
@@ -146,47 +149,40 @@ def parse_cloud(source: bytes | str, fmt: str) -> tuple[PointCloud, ParseSummary
 
 
 def _line_chunks(source: bytes | str) -> Iterator[list[str]]:
-    """The lines of source, as str.splitlines gives them, in chunks.
+    """The lines of source, as str.splitlines gives them, in blocks.
 
-    Each chunk is cut right after its _CHUNK_ROWS-th "\\r\\n", "\\n" or
-    lone "\\r", and decoded on its own (UTF-8, errors replaced). Neither
-    byte falls inside a UTF-8 sequence, and a "\\r\\n" is never cut in
-    two, so the chunks' lines are those of the whole source decoded and
-    split at once. The rarer separators ("\\x85", "\\u2028", ...) split
-    lines inside a chunk but never end one. A source without a lone "\\r"
-    is cut with ".", which matches anything but "\\n" and runs about 8x
-    faster than the class that also stops at "\\r".
+    The source is read as UTF-8 through a universal-newline TextIOWrapper
+    in readlines(_CHUNK_CHARS) blocks; each block ends at a "\\n", "\\r\\n"
+    or "\\r", so its splitlines are those of the whole text split at once.
+    Bytes decode with errors replaced; a str is encoded once and decodes
+    back exactly, lone surrogates included. The rarer separators
+    ("\\x85", "\\u2028", ...) split lines inside a block but never end one.
     """
-    encoded = isinstance(source, bytes)
-    cr, crlf = (b"\r", b"\r\n") if encoded else ("\r", "\r\n")
-    lone_cr = cr in source and source.count(cr) > source.count(crlf)
-    line = "[^\r\n]*(?:\r\n?|\n)" if lone_cr else ".*\n"
-    pattern = f"(?:{line}){{1,{_CHUNK_ROWS}}}"
-    cut = re.compile(pattern.encode() if encoded else pattern).match
-    start = 0
-    while start < len(source):
-        match = cut(source, start)
-        end = match.end() if match else len(source)
-        text = source[start:end]
-        yield (text.decode("utf-8", errors="replace") if encoded else text).splitlines()
-        start = end
+    errors = "replace"
+    if isinstance(source, str):
+        source, errors = source.encode("utf-8", "surrogatepass"), "surrogatepass"
+    with io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", errors=errors,
+                          newline=None) as reader:
+        while block := reader.readlines(_CHUNK_CHARS):
+            yield "".join(block).splitlines()
 
 
 def _data_lines(lines: Iterator[str], lineno: int, skip_comments: bool):
-    """Non-blank lines and their 1-based line numbers, _CHUNK_ROWS lines at a time.
+    """Each data line's tokens and the 1-based line numbers, _CHUNK_ROWS lines at a time.
 
-    lineno counts the lines already taken from the iterator. With
-    skip_comments, lines whose first non-blank character is # are left
-    out too (XYZ comments; a PCD data section has none). Chunks with no
-    such line are not yielded.
+    lineno counts the lines already taken from the iterator. Lines
+    without tokens are left out, and with skip_comments so are lines
+    whose first token starts with # (XYZ comments; a PCD data section
+    has none). Chunks with no data line are not yielded.
     """
     while chunk := list(islice(lines, _CHUNK_ROWS)):
-        numbers = [
-            n for n, s in enumerate(map(str.lstrip, chunk), lineno + 1)
-            if s and not (skip_comments and s[0] == "#")
-        ]
-        if numbers:
-            yield [chunk[n - lineno - 1] for n in numbers], np.array(numbers, dtype=np.int64)
+        rows, numbers = [], []
+        for n, tokens in enumerate(map(str.split, chunk), lineno + 1):
+            if tokens and not (skip_comments and tokens[0][0] == "#"):
+                rows.append(tokens)
+                numbers.append(n)
+        if rows:
+            yield rows, np.array(numbers, dtype=np.int64)
         lineno += len(chunk)
 
 
@@ -220,20 +216,20 @@ def _convert_rows(rows: list[list[str]], numbers: np.ndarray, width: int) -> np.
 
 
 def _parse_data(chunks, width: int, extra_names):
-    """Parse (data lines, line numbers) chunks and drop rows with non-finite coordinates.
+    """Parse (row tokens, line numbers) chunks and drop rows with non-finite coordinates.
 
     Each chunk's finite rows are kept as one small array, and every
     output column is joined from them once.
     """
     blocks, rejected, total = [np.empty((0, width))], [], 0
-    for lines, numbers in chunks:
-        block = _convert_rows(list(map(str.split, lines)), numbers, width)
+    for rows, numbers in chunks:
+        block = _convert_rows(rows, numbers, width)
         finite = np.isfinite(block[:, :3]).all(axis=1)
         if not finite.all():
             rejected += numbers[~finite].tolist()
             block = block[finite]
         blocks.append(block)
-        total += len(lines)
+        total += len(rows)
     points = np.concatenate([block[:, :3] for block in blocks])
     channels = {name: np.concatenate([block[:, 3 + k] for block in blocks])
                 for k, name in enumerate(extra_names)}
@@ -245,7 +241,7 @@ def _parse_xyz(lines: Iterator[str]):
     first = next(chunks, None)
     if first is None:
         return _parse_data([], 3, [])
-    width = len(first[0][0].split())
+    width = len(first[0][0])
     if width < 3:
         raise ParseError("XYZ rows need at least 3 columns", line=int(first[1][0]))
     return _parse_data(chain([first], chunks), width, [f"extra{k}" for k in range(width - 3)])
@@ -264,6 +260,8 @@ def _parse_pcd(lines: Iterator[str]):
         key, rest = key.upper(), "".join(rest)
         if key not in _PCD_HEADER_ORDER:
             raise ParseError(f"unexpected header keyword {key!r}", line=lineno)
+        if key in header:
+            raise ParseError(f"repeated header keyword {key!r}", line=lineno)
         header[key] = rest.split()
         header_lines[key] = lineno
         if key == "DATA":

@@ -78,10 +78,6 @@ class DemGrid:
     def shape(self):
         return self.heights.shape
 
-    def cell_of(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row, col) indices of query coordinates; may fall outside."""
-        return bin_cells(np.atleast_2d(xy), self.origin, self.cell)
-
 
 def extract_ground_candidates(cloud: PointCloud, params: GroundParams) -> np.ndarray:
     """Indices of stick-salient points with near-vertical normals."""
@@ -186,19 +182,17 @@ def _median_grid(xy, values, weights, origin, cell: float):
     return heights, counts, counts > 0
 
 
-def build_height_grid(points: np.ndarray, cell: float, min_samples: int = 3,
-                      origin: tuple[float, float] | None = None) -> DemGrid:
+def build_height_grid(points: np.ndarray, cell: float, min_samples: int = 3) -> DemGrid:
     """Height grid over candidate ground points, lower median z per cell.
 
     Cells with fewer than min_samples points are marked invalid. The
-    origin defaults to the candidates' min corner snapped to the cell
-    size, so identical clouds always produce identical grids.
+    origin is the candidates' min corner snapped to the cell size, so
+    identical clouds always produce identical grids.
     """
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         raise EmptyInputError("no ground candidate points")
-    if origin is None:
-        origin = snapped_origin(points, cell)
+    origin = snapped_origin(points, cell)
     heights, counts, _ = _median_grid(points[:, :2], points[:, 2], None, origin, cell)
     valid = counts >= min_samples
     heights[~valid] = NODATA
@@ -315,8 +309,8 @@ def ground_heights(dem: DemGrid, xy: np.ndarray):
     return heights, known
 
 
-def to_ascii_grid(dem: DemGrid) -> str:
-    """ESRI-style ASCII grid, rows written from the top (max y) down."""
+def to_ascii_grid(dem: DemGrid) -> bytes:
+    """ESRI-style ASCII grid text, rows written from the top (max y) down."""
     nrows, ncols = dem.shape
     lines = [
         f"ncols {ncols}",
@@ -325,6 +319,6 @@ def to_ascii_grid(dem: DemGrid) -> str:
         f"yllcorner {dem.origin[1]!r}",
         f"cellsize {dem.cell!r}",
         f"NODATA_value {NODATA!r}",
+        "",
     ]
-    rows = b"".join(format_float_rows(list(dem.heights[::-1].T)))
-    return "\n".join(lines) + "\n" + rows.decode("ascii")
+    return b"".join(["\n".join(lines).encode(), *format_float_rows(list(dem.heights[::-1].T))])

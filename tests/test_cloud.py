@@ -119,6 +119,17 @@ class TestParsePcd:
         assert np.array_equal(cloud.channels["intensity"], expected.channels["intensity"])
         assert summary.total_rows == 3
 
+    # a second DATA line would be read as data, so DATA is not listed
+    @pytest.mark.parametrize("key", ["VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
+                                     "WIDTH", "HEIGHT", "VIEWPOINT", "POINTS"])
+    def test_repeated_header_keyword_names_second_line(self, key):
+        lines = PCD_3PT.splitlines(keepends=True)
+        at = next(n for n, line in enumerate(lines) if line.startswith(key + " "))
+        source = "".join(lines[:at + 1] + [lines[at].lower()] + lines[at + 1:])
+        with pytest.raises(ParseError, match=f"repeated header keyword '{key}'") as err:
+            parse_cloud(source, "pcd")
+        assert err.value.line == at + 2
+
     def test_binary_data_rejected(self):
         bad = PCD_3PT.replace("DATA ascii", "DATA binary")
         with pytest.raises(ParseError):
@@ -195,6 +206,7 @@ SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, 1e15, 1.7e308, -1.7e308
 coordinate = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL))
 channel_value = st.one_of(st.floats(), st.sampled_from(SPECIAL + [np.nan, np.inf, -np.inf]))
 chunk_rows = st.integers(1, 5)
+chunk_chars = st.integers(1, 9)
 
 
 @st.composite
@@ -259,8 +271,9 @@ def join_lines(data, lines, as_bytes, bad_utf8=True):
         pool = [eol.encode() for eol in EOLS] + (BAD_UTF8_EOLS if bad_utf8 else [])
     eol = st.one_of(st.sampled_from(pool[:2]), st.sampled_from(pool))
     eols = data.draw(st.lists(eol, min_size=len(lines), max_size=len(lines)))
-    if as_bytes:
-        return b"".join(line.encode() + eol for line, eol in zip(lines, eols))
+    if as_bytes:  # a lone surrogate becomes bytes that are not UTF-8
+        return b"".join(line.encode("utf-8", "surrogatepass") + eol
+                        for line, eol in zip(lines, eols))
     return "".join(line + eol for line, eol in zip(lines, eols))
 
 
@@ -289,18 +302,19 @@ class TestMatchesReference:
         for fmt in ("xyz", "pcd"):
             assert write_cloud(cloud, fmt) == reference_write_cloud(cloud, fmt)
 
-    @given(st.integers(3, 5), st.data(), st.booleans(), chunk_rows)
+    @given(st.integers(3, 5), st.data(), st.booleans(), chunk_rows, chunk_chars)
     @settings(max_examples=300, deadline=None)
-    def test_parse_xyz_matches_reference(self, width, data, as_bytes, chunk):
+    def test_parse_xyz_matches_reference(self, width, data, as_bytes, chunk, chars):
         lines = data.draw(st.lists(data_line(width), max_size=12))
         source = join_lines(data, lines, as_bytes)
-        with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
+        with (mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk),
+              mock.patch.object(cloud_module, "_CHUNK_CHARS", chars)):
             got = outcome(parse_cloud, source, "xyz")
         assert got == outcome(reference_parse_cloud, source, "xyz")
 
-    @given(st.integers(3, 5), st.data(), st.booleans(), chunk_rows)
+    @given(st.integers(3, 5), st.data(), st.booleans(), chunk_rows, chunk_chars)
     @settings(max_examples=300, deadline=None)
-    def test_parse_pcd_matches_reference(self, width, data, as_bytes, chunk):
+    def test_parse_pcd_matches_reference(self, width, data, as_bytes, chunk, chars):
         lines = data.draw(st.lists(data_line(width), max_size=12))
         fields = ["x", "y", "z"] + [f"c{k}" for k in range(width - 3)]
         rows = sum(1 for line in lines if line.strip())
@@ -318,7 +332,8 @@ class TestMatchesReference:
         # into data lines only
         source = (join_lines(data, header, as_bytes, bad_utf8=False)
                   + join_lines(data, lines, as_bytes))
-        with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
+        with (mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk),
+              mock.patch.object(cloud_module, "_CHUNK_CHARS", chars)):
             got = outcome(parse_cloud, source, "pcd")
         assert got == outcome(reference_parse_cloud, source, "pcd")
 
@@ -401,11 +416,12 @@ class TestParseFuzz:
             return
         assert summary.total_rows == len(cloud) + summary.rejected
 
-    @given(fuzz_sources, st.sampled_from(["xyz", "pcd"]), st.integers(1, 3))
+    @given(fuzz_sources, st.sampled_from(["xyz", "pcd"]), st.integers(1, 3), chunk_chars)
     @settings(max_examples=300, deadline=None)
-    def test_chunk_size_does_not_change_outcome(self, source, fmt, chunk):
+    def test_chunk_size_does_not_change_outcome(self, source, fmt, chunk, chars):
         expected = outcome(parse_cloud, source, fmt)
-        with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
+        with (mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk),
+              mock.patch.object(cloud_module, "_CHUNK_CHARS", chars)):
             assert outcome(parse_cloud, source, fmt) == expected
 
     @staticmethod
@@ -434,13 +450,29 @@ class TestParseFuzz:
         # cuts its chunks there too, not only after a "\n"
         assert self.peak_over_output(rng, b"\r") < 3
 
+    @given(st.data(), st.booleans(), chunk_chars)
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_join_to_whole_text_lines(self, data, as_bytes, chars):
+        # lines may hold breaks of their own, so a "\r" can meet a "\n"
+        # ending, and lone surrogates, which a str source keeps
+        line = st.lists(st.one_of(st.characters(), st.sampled_from(EOLS + ["\ud83d", "\ude00"])),
+                        max_size=8).map("".join)
+        source = join_lines(data, data.draw(st.lists(line, max_size=12)), as_bytes)
+        text = source.decode("utf-8", errors="replace") if as_bytes else source
+        with mock.patch.object(cloud_module, "_CHUNK_CHARS", chars):
+            chunks = list(cloud_module._line_chunks(source))
+        assert sum(chunks, []) == text.splitlines()
+
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("as_bytes", [False, True])
     def test_chunks_cut_at_every_line_end(self, eol, as_bytes):
-        text = "".join(f"{k} 0 0{eol}" for k in range(1030))
+        # a source over _CHUNK_CHARS comes in several blocks, whichever
+        # of the three line ends it uses
+        text = "".join(f"{k} 0 0{eol}" for k in range(10_000))
+        assert len(text) > 2 * cloud_module._CHUNK_CHARS
         source = text.encode() if as_bytes else text
         chunks = list(cloud_module._line_chunks(source))
-        assert [len(chunk) for chunk in chunks] == [512, 512, 6]
+        assert 1 < len(chunks) <= len(text) // cloud_module._CHUNK_CHARS + 1
         assert sum(chunks, []) == text.splitlines()
 
     @given(st.lists(st.sampled_from(["x", "y", "z", "a", "b"]), max_size=4), st.data())

@@ -108,7 +108,7 @@ class TestBuildHeightGrid:
     def test_cell_height_within_sample_range(self, rng):
         points = rng.uniform(-2, 2, size=(500, 3))
         grid = build_height_grid(points, 0.5, min_samples=1)
-        rows, cols = grid.cell_of(points[:, :2])
+        rows, cols = dem.bin_cells(points[:, :2], grid.origin, grid.cell)
         for r, c in zip(*np.nonzero(grid.valid)):
             cell_z = points[(rows == r) & (cols == c), 2]
             assert cell_z.min() <= grid.heights[r, c] <= cell_z.max()
@@ -218,7 +218,7 @@ class TestRefineDem:
         blob = rng.uniform(0, 1, size=(400, 3)) * np.array([1, 1, 0.02]) + np.array([2, 3, 3.5])
         grid = build_height_grid(np.concatenate([ground, blob]), 0.5, min_samples=3)
         refined = refine_dem(grid, 10.0, 1.0, 0.3)
-        row, col = refined.cell_of(np.array([[2.5, 3.5]]))
+        row, col = dem.bin_cells(np.array([[2.5, 3.5]]), refined.origin, refined.cell)
         assert refined.valid[row[0], col[0]]
         assert abs(refined.heights[row[0], col[0]] - 0.5) < 0.05
 
@@ -291,7 +291,7 @@ class TestGroundQueries:
 
 def reference_ground_heights(grid, xy):
     """Clipped 2-D indexing and np.where: the lookup as first written."""
-    row, col = grid.cell_of(xy)
+    row, col = dem.bin_cells(xy, grid.origin, grid.cell)
     nrows, ncols = grid.shape
     inside = (row >= 0) & (row < nrows) & (col >= 0) & (col < ncols)
     rs, cs = np.clip(row, 0, nrows - 1), np.clip(col, 0, ncols - 1)
@@ -342,11 +342,10 @@ class TestStageMemory:
 class TestAsciiExport:
     def test_header_and_rows(self):
         grid = build_height_grid(np.array([[0.1, 0.1, 2.0]] * 3), 0.5, min_samples=3)
-        text = to_ascii_grid(grid)
-        lines = text.strip().splitlines()
-        assert lines[0] == "ncols 1"
-        assert lines[1] == "nrows 1"
-        assert "cellsize 0.5" in lines[4]
+        lines = to_ascii_grid(grid).strip().splitlines()
+        assert lines[0] == b"ncols 1"
+        assert lines[1] == b"nrows 1"
+        assert b"cellsize 0.5" in lines[4]
         assert float(lines[6]) == 2.0
 
     def test_grid_text_matches_repr_top_row_first(self):
@@ -359,4 +358,4 @@ class TestAsciiExport:
                   "NODATA_value -9999.0\n")
         rows = "".join(" ".join(map(repr, row)) + "\n" for row in heights[::-1].tolist())
         assert rows.startswith("-7e-07 12.345678901234567 -9999.0 -0.0\n")
-        assert to_ascii_grid(grid) == header + rows
+        assert to_ascii_grid(grid) == (header + rows).encode()
