@@ -9,7 +9,9 @@ recall/precision and grid accuracy against the scene's truth
 (perfbench/measure.py's `quality`), how many detected curb points are
 canopy, the sha256 of each written file, and whether the labeled cloud
 parses back to exactly the values written (`reparse_s` is that text
-parse's time). The defaults are the standard street demo; a sweep:
+parse's time). Each grid point runs in a fresh process, so the peak
+memory its line reports is its own. The defaults are the standard
+street demo; a sweep:
 
     python scripts/run_street_demo.py --workloads street,survey --seeds 0,1,2 \\
         --sigmas 0.25,0.3 --taus 0.3,0.35,0.4 --threads 1
@@ -17,8 +19,10 @@ parse's time). The defaults are the standard street demo; a sweep:
 
 import argparse
 import hashlib
+import multiprocessing
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +75,19 @@ def run(workload: str, spec: SceneSpec, sigma: float, tau: float, threads: int,
     return exact
 
 
+def run_each(points, threads: int, out: Path) -> list[bool]:
+    """`run` each (workload, spec, sigma, tau) of points, one after another,
+    each in a fresh process.
+
+    The processes are forked from a fork server, not spawned: a spawned
+    process starts from its parent's high-water RSS (Linux carries it
+    across exec), which would floor every reading at the caller's.
+    """
+    server = multiprocessing.get_context("forkserver")
+    with ProcessPoolExecutor(1, mp_context=server, max_tasks_per_child=1) as pool:
+        return [pool.submit(run, *point, threads, out).result() for point in points]
+
+
 def main():
     def listed(kind):
         return lambda text: [kind(v) for v in text.split(",")]
@@ -92,11 +109,10 @@ def main():
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    exact = [run(workload, SceneSpec(**WORKLOADS[workload].scene_kwargs(seed)),
-                 sigma, tau, args.threads, out)
-             for workload in args.workloads for seed in args.seeds
-             for sigma in args.sigmas for tau in args.taus]
-    if not all(exact):
+    points = [(workload, SceneSpec(**WORKLOADS[workload].scene_kwargs(seed)), sigma, tau)
+              for workload in args.workloads for seed in args.seeds
+              for sigma in args.sigmas for tau in args.taus]
+    if not all(run_each(points, args.threads, out)):
         raise SystemExit("labeled cloud round trip is not exact")
 
 

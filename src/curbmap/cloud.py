@@ -513,8 +513,8 @@ def format_float_rows(columns) -> Iterator[bytes]:
     notation below 1e-4 and from 1e16 on, in fixed notation otherwise;
     "inf", "-inf" and "nan" (no sign) for the special values. Values are
     separated by one space and each row ends in a newline. This is the
-    float-text format of both cloud and DEM files. A chunk holds up to
-    _CHUNK_ROWS rows.
+    float-text format of cloud files; dem.to_ascii_grid writes the DEM's
+    rows with _float_text itself. A chunk holds up to _CHUNK_ROWS rows.
     """
     for a in range(0, len(columns[0]), _CHUNK_ROWS):
         chunk = np.stack([col[a:a + _CHUNK_ROWS] for col in columns], axis=1)

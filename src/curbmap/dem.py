@@ -23,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, format_float_rows
+from .cloud import PointCloud, _float_text
 from .errors import CurbmapError, EmptyInputError
 
 NODATA = -9999.0
 # Largest 2D grid a DEM or label grid may allocate, in cells.
 MAX_GRID_CELLS = 1 << 25
+# Heights to_ascii_grid formats at once, in whole rows (at least one).
+_ASCII_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,6 @@ def extract_ground_candidates(cloud: PointCloud, params: GroundParams) -> np.nda
     keep = stick >= params.stick_threshold * stick.max()
     keep &= (nz >= min_nz) | (nz <= -min_nz)   # |nz| >= min_nz without an |nz| array
     return np.flatnonzero(keep)
-
-
-def bin_cells(xy: np.ndarray, origin, cell: float):
-    """(row, col) of the cells of side `cell` from `origin` holding each xy."""
-    col, row = (_cells_along(xy, origin, cell, axis).astype(np.int64) for axis in (0, 1))
-    return row, col
 
 
 def _cells_along(xy: np.ndarray, origin, cell: float, axis: int) -> np.ndarray:
@@ -285,10 +281,9 @@ def ground_model(cloud: PointCloud, params: GroundParams) -> tuple[np.ndarray, D
 def ground_heights(dem: DemGrid, xy: np.ndarray):
     """Vectorized ground lookup. Returns (heights, known) arrays.
 
-    Cells are found as in bin_cells, but their float rows and columns
-    are folded into one flat index before the cast, exactly as in
-    occupied_cells; a query outside the grid reads cell 0 and is then
-    marked unknown.
+    Float rows and columns are folded into one flat index before the
+    cast, exactly as in occupied_cells; a query outside the grid reads
+    cell 0 and is then marked unknown.
     """
     xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
     nrows, ncols = dem.shape
@@ -321,4 +316,7 @@ def to_ascii_grid(dem: DemGrid) -> bytes:
         f"NODATA_value {NODATA!r}",
         "",
     ]
-    return b"".join(["\n".join(lines).encode(), *format_float_rows(list(dem.heights[::-1].T))])
+    rows = max(1, _ASCII_CHUNK_VALUES // ncols)
+    top_down = dem.heights[::-1].astype(np.float64, copy=False)
+    chunks = (_float_text(top_down[a:a + rows].ravel(), ncols) for a in range(0, nrows, rows))
+    return b"".join(["\n".join(lines).encode(), *chunks])

@@ -42,3 +42,6 @@ class PipelineError(CurbmapError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):  # pickled by its arguments, so it crosses process boundaries
+        return type(self), (self.stage, self.cause)

@@ -3,7 +3,9 @@
 The workhorse is a uniform grid hash: points are binned once into cells
 of a fixed size (by default the query radius, so any query touches at
 most 27 cells), and each cell gathers its candidates from the
-surrounding cell block into one list, ascending by point index. The vote
+surrounding cell block into one list, ascending by point index. Cell
+keys sort one (x, y) column at a time, so each column of that block is
+one run of the sorted keys, found by two binary searches. The vote
 and the radius count both walk `UniformGridIndex.blocks`, which builds
 those lists for CELL_BATCH cells at a time, so their memory scales with
 a batch, not with the cloud, and cuts them into blocks of at most
@@ -49,8 +51,7 @@ class UniformGridIndex:
     origin: np.ndarray
     dims: np.ndarray
     cell_keys: np.ndarray   # sorted unique encoded cell keys
-    starts: np.ndarray      # offset of each cell's slice in `order`
-    counts: np.ndarray      # population of each cell
+    starts: np.ndarray      # offset of each cell's slice in `order`, then len(order)
     order: np.ndarray       # point indices grouped by cell
 
     @property
@@ -64,48 +65,38 @@ class UniformGridIndex:
 
     def cell_points(self, slot: int) -> np.ndarray:
         """Point indices in cell `slot`, ascending."""
-        s = self.starts[slot]
-        return self.order[s:s + self.counts[slot]]
+        return self.order[self.starts[slot]:self.starts[slot + 1]]
 
     def _candidate_lists(self, slots, radius: float):
         """Candidate lists of the cells `slots`, built together.
 
         Returns (ptr, candidates): the k-th of `slots` draws from
         candidates[ptr[k]:ptr[k + 1]], the ascending indices of the points
-        in every cell within ceil(radius / cell_size) cells of it. Building
-        them is one ragged gather plus one sort, so memory scales with the
-        lists asked for, not with the cloud.
+        in every cell within ceil(radius / cell_size) cells of it. Keys
+        are (cx * dims[1] + cy) * dims[2] + cz, so the cells of one (x, y)
+        column from cz - reach to cz + reach are one run of cell_keys, and
+        their points one run of `order`: the lists are one ragged gather of
+        runs plus one sort, and memory scales with them, not with the cloud.
         """
         slots = np.asarray(slots, dtype=np.int64)
         reach = int(np.ceil(radius / self.cell_size))
         span = np.arange(-reach, reach + 1, dtype=np.int64)
-        offs = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
-        cc = np.stack(self._decode(self.cell_keys[slots]), axis=1)
-        ncell, k = len(cc), len(offs)
-        nb = (cc[:, None, :] + offs[None, :, :]).reshape(-1, 3)
-        ok = ((nb >= 0) & (nb < self.dims)).all(axis=1)
-        keys = (nb[:, 0] * self.dims[1] + nb[:, 1]) * self.dims[2] + nb[:, 2]
-        pos = np.searchsorted(self.cell_keys, keys[ok])
-        pos = np.minimum(pos, max(self.cell_count - 1, 0))
-        hit = np.zeros(ncell * k, dtype=bool)
-        hit_pos = np.zeros(ncell * k, dtype=np.int64)
-        if self.cell_count:
-            hit[ok] = self.cell_keys[pos] == keys[ok]
-            hit_pos[ok] = pos
-        hit_pos = hit_pos[hit]
-        # Runs: slot k draws from order[run_starts[j]:run_starts[j] + run_counts[j]]
-        # for j in run_ptr[k]:run_ptr[k + 1].
-        run_ptr = np.zeros(ncell + 1, dtype=np.int64)
-        np.cumsum(hit.reshape(ncell, k).sum(axis=1), out=run_ptr[1:])
-        run_starts, run_counts = self.starts[hit_pos], self.counts[hit_pos]
-
-        cum = np.zeros(len(run_counts) + 1, dtype=np.int64)
-        np.cumsum(run_counts, out=cum[1:])
-        flat = self.order[np.repeat(run_starts - cum[:-1], run_counts) + np.arange(cum[-1])]
-        ptr = cum[run_ptr]
+        cx, cy, cz = self._decode(self.cell_keys[slots])
+        nx = (cx[:, None] + span)[:, :, None]
+        ny = (cy[:, None] + span)[:, None, :]
+        column = (nx * self.dims[1] + ny) * self.dims[2]
+        bottom = np.maximum(cz - reach, 0)[:, None, None]
+        top = np.minimum(cz + reach, self.dims[2] - 1)[:, None, None]
+        first = self.starts[np.searchsorted(self.cell_keys, column + bottom)].ravel()
+        stop = self.starts[np.searchsorted(self.cell_keys, column + top, side="right")].ravel()
+        inside = ((nx >= 0) & (nx < self.dims[0]) & (ny >= 0) & (ny < self.dims[1])).ravel()
+        # column j, of slot j // len(span)**2, draws from order[first[j]:stop[j]]
+        run_counts = np.where(inside, stop - first, 0)
+        cum = np.concatenate(([0], np.cumsum(run_counts)))
+        flat = self.order[np.repeat(first - cum[:-1], run_counts) + np.arange(cum[-1])]
+        ptr = cum[::len(span) ** 2]
         n = max(len(self.cloud), 1)
-        seg = np.repeat(np.arange(ncell, dtype=np.int64), np.diff(ptr))
-        composite = np.sort(seg * n + flat)
+        composite = np.sort(np.repeat(np.arange(len(slots)) * n, np.diff(ptr)) + flat)
         return ptr, composite % n
 
     def candidate_table(self, radius: float):
@@ -174,8 +165,8 @@ def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
     pts = cloud.points
     if len(pts) == 0:
         zero = np.zeros(0, dtype=np.int64)
-        return UniformGridIndex(cloud, float(cell_size), np.zeros(3),
-                                np.zeros(3, dtype=np.int64), zero, zero, zero, zero)
+        return UniformGridIndex(cloud, float(cell_size), np.zeros(3), np.zeros(3, dtype=np.int64),
+                                zero, np.zeros(1, dtype=np.int64), zero)
     origin = pts.min(axis=0)
     extent = pts.max(axis=0) - origin
     spans = np.floor(extent / cell_size) + 1
@@ -195,9 +186,8 @@ def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
     new[0] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=len(keys))
-    return UniformGridIndex(cloud, float(cell_size), origin, dims,
-                            keys[starts], starts, counts, order.astype(np.int64, copy=False))
+    return UniformGridIndex(cloud, float(cell_size), origin, dims, keys[starts],
+                            np.append(starts, len(keys)), order.astype(np.int64, copy=False))
 
 
 def _count_block(qp, cp, r2: float) -> np.ndarray:

@@ -1,14 +1,16 @@
 """End-to-end orchestration with per-stage timing.
 
 Stages run in a fixed order: parse, crop, index, vote, decompose, dem,
-curb, grid, export. Any failure aborts the run with the stage name and
-removes files already written, so a failed run leaves no partial
-outputs. Outputs are deterministic for a fixed config regardless of the
-thread count.
+curb, grid, export. Each is one `with stage(name):` block, which records
+its seconds and peak memory when it ends. Any failure aborts the run
+with the stage name and removes files already written, so a failed run
+leaves no partial outputs. Outputs are deterministic for a fixed config
+regardless of the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import resource
@@ -75,21 +77,6 @@ class PipelineResult:
     written: list[str]
 
 
-class _StageClock:
-    def __init__(self, report: TimingReport):
-        self.report = report
-        self.stage = None
-        self.t0 = 0.0
-
-    def start(self, stage: str):
-        self.stage = stage
-        self.t0 = time.perf_counter()
-
-    def stop(self):
-        self.report.seconds[self.stage] = time.perf_counter() - self.t0
-        self.report.stage_peak_rss_mb[self.stage] = _peak_rss_mb()
-
-
 def _peak_rss_mb() -> float:
     """The process's high-water resident set size in MiB."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
@@ -102,87 +89,88 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     which is how generated scenes run without touching disk.
     """
     report = TimingReport()
-    clock = _StageClock(report)
     written: list[str] = []
+    current = None
+
+    @contextlib.contextmanager
+    def stage(name: str):
+        nonlocal current
+        current = name
+        t0 = time.perf_counter()
+        yield
+        report.seconds[name] = time.perf_counter() - t0
+        report.stage_peak_rss_mb[name] = _peak_rss_mb()
+
     try:
-        clock.start("parse")
-        if cloud is None:
-            # the file's bytes are referenced only by the call, so they
-            # are freed when it returns
-            cloud, summary = parse_cloud(Path(config.input_path).read_bytes(),
-                                         config.input_format)
-            report.counts["parse_rejected"] = summary.rejected
-        clock.stop()
+        with stage("parse"):
+            if cloud is None:
+                # the file's bytes are referenced only by the call, so they
+                # are freed when it returns
+                cloud, summary = parse_cloud(Path(config.input_path).read_bytes(),
+                                             config.input_format)
+                report.counts["parse_rejected"] = summary.rejected
         report.counts["parse_points"] = len(cloud)
 
-        clock.start("crop")
-        if config.crop is not None:
-            cloud = crop(cloud, config.crop)
-        if len(cloud) == 0:
-            raise EmptyInputError("no points remain after crop")
-        # refuse an oversized label grid now, not after the vote
-        xy = cloud.points[:, :2]
-        dem_mod.grid_shape(xy, dem_mod.snapped_origin(xy, config.classify.cell),
-                           config.classify.cell)
-        clock.stop()
+        with stage("crop"):
+            if config.crop is not None:
+                cloud = crop(cloud, config.crop)
+            if len(cloud) == 0:
+                raise EmptyInputError("no points remain after crop")
+            # refuse an oversized label grid now, not after the vote
+            xy = cloud.points[:, :2]
+            dem_mod.grid_shape(xy, dem_mod.snapped_origin(xy, config.classify.cell),
+                               config.classify.cell)
         report.counts["crop_points"] = len(cloud)
 
-        clock.start("index")
-        index = build_index(cloud, config.voting.cutoff)
-        clock.stop()
+        with stage("index"):
+            index = build_index(cloud, config.voting.cutoff)
 
-        clock.start("vote")
-        tensors = voting.sparse_vote(cloud, index, config.voting, threads=config.threads,
-                                     counts=report.counts)
-        del index
-        clock.stop()
+        with stage("vote"):
+            tensors = voting.sparse_vote(cloud, index, config.voting, threads=config.threads,
+                                         counts=report.counts)
+            del index
 
-        clock.start("decompose")
-        cloud = voting.attach_saliencies(cloud, tensors)
-        del tensors  # freed before the dem stage's binning arrays are made
-        clock.stop()
+        with stage("decompose"):
+            cloud = voting.attach_saliencies(cloud, tensors)
+            del tensors  # freed before the dem stage's binning arrays are made
 
-        clock.start("dem")
-        ground_idx, refined = dem_mod.ground_model(cloud, config.ground)
-        clock.stop()
+        with stage("dem"):
+            ground_idx, refined = dem_mod.ground_model(cloud, config.ground)
         report.counts["ground_candidates"] = len(ground_idx)
 
-        clock.start("curb")
-        detection = curb_mod.detect_curbs(cloud, refined, config.curb)
-        clock.stop()
+        with stage("curb"):
+            detection = curb_mod.detect_curbs(cloud, refined, config.curb)
         report.counts["curb_plate_candidates"] = detection.plate_candidates
         report.counts["curb_height_gated"] = detection.height_gated
         report.counts["curb_points"] = len(detection.indices)
 
-        clock.start("grid")
-        grid = semantic.classify_cells(cloud, refined, detection.indices,
-                                       ground_idx, config.classify)
-        clock.stop()
+        with stage("grid"):
+            grid = semantic.classify_cells(cloud, refined, detection.indices,
+                                           ground_idx, config.classify)
         report.counts["grid_cells"] = int(grid.labels.size)
         histogram = np.bincount(grid.labels.ravel(), minlength=len(semantic.SemanticLabel))
         for label in semantic.SemanticLabel:
             report.counts[f"grid_{label.name.lower()}"] = int(histogram[label])
 
-        clock.start("export")
-        if config.out_cloud:
-            curb_conf = np.zeros(len(cloud))
-            curb_conf[detection.indices] = detection.confidence
-            labeled = cloud.with_channels(curb_conf=curb_conf)
-            _write(config.out_cloud, cloud_chunks(labeled, config.input_format), written)
-        if config.out_dem:
-            _write(config.out_dem, [dem_mod.to_ascii_grid(refined)], written)
-        if config.out_raster:
-            _write(config.out_raster, [semantic.render_raster(grid)], written)
-        if config.out_grid:
-            _write(config.out_grid, [semantic.write_compact(grid)], written)
-        clock.stop()
+        with stage("export"):
+            if config.out_cloud:
+                curb_conf = np.zeros(len(cloud))
+                curb_conf[detection.indices] = detection.confidence
+                labeled = cloud.with_channels(curb_conf=curb_conf)
+                _write(config.out_cloud, cloud_chunks(labeled, config.input_format), written)
+            if config.out_dem:
+                _write(config.out_dem, [dem_mod.to_ascii_grid(refined)], written)
+            if config.out_raster:
+                _write(config.out_raster, [semantic.render_raster(grid)], written)
+            if config.out_grid:
+                _write(config.out_grid, [semantic.write_compact(grid)], written)
     except Exception as exc:
         for path in written:
             try:
                 os.unlink(path)
             except OSError:
                 pass
-        raise PipelineError(clock.stage, exc) from exc
+        raise PipelineError(current, exc) from exc
     report.peak_rss_mb = _peak_rss_mb()
     return PipelineResult(report, cloud, refined, detection, grid, written)
 

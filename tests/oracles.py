@@ -5,10 +5,10 @@ the production code paths: a pivot-driven scalar Jacobi eigensolver, a
 spherical-quadrature realization of the ball vote as an integral of
 rotated stick votes, a plain double-loop voting pass, a per-block
 count of the vote's pairs, a linear-scan radius query and the
-per-candidate outlier filter built on it, a per-cell loop of lower
-medians for the DEM grids, and a per-cell loop that refills the refined
-DEM's invalidated cells. The only
-shared primitive is np.add.reduceat, whose per-segment reduction is the
+per-candidate outlier filter built on it, the xy cell binning, a
+per-cell loop of lower medians for the DEM grids, and a per-cell loop
+that refills the refined DEM's invalidated cells. The only shared
+primitive is np.add.reduceat, whose per-segment reduction is the
 pipeline's documented deterministic summation.
 
 The text cloud reader and writer here are the row-by-row and
@@ -185,6 +185,14 @@ def reference_outlier_removal(cloud: PointCloud, candidates, radius: float,
         found, _ = brute_force_neighbors(sub, sub.points[k], radius)
         keep[k] = len(found) - 1 >= min_neighbors
     return candidates[keep]
+
+
+def bin_cells(xy, origin, cell: float):
+    """(row, col) of the cells of side `cell` from `origin` holding each xy:
+    floor((xy - origin) / cell), the binning `dem.occupied_cells` and
+    `dem.ground_heights` fold into one key."""
+    col, row = np.floor((np.asarray(xy)[:, :2] - np.asarray(origin)) / cell).astype(np.int64).T
+    return row, col
 
 
 def reference_median_grid(xy, values, weights, origin, cell: float):

@@ -10,10 +10,11 @@ from curbmap import (ChannelMissingError, CurbmapError, DemGrid, EmptyInputError
                      PointCloud, VotingParams, build_height_grid,
                      extract_ground_candidates, ground_heights, ground_model,
                      refine_dem, saliency_field, to_ascii_grid)
+from curbmap.cloud import format_float_rows
 from curbmap.dem import NODATA
 from curbmap.scene import _sample_grid
 
-from oracles import reference_median_grid, reference_refine_dem
+from oracles import bin_cells, reference_median_grid, reference_refine_dem
 
 
 def field_of_plane(rng, tilt_deg=0.0, half=1.5, density=400.0):
@@ -108,7 +109,7 @@ class TestBuildHeightGrid:
     def test_cell_height_within_sample_range(self, rng):
         points = rng.uniform(-2, 2, size=(500, 3))
         grid = build_height_grid(points, 0.5, min_samples=1)
-        rows, cols = dem.bin_cells(points[:, :2], grid.origin, grid.cell)
+        rows, cols = bin_cells(points[:, :2], grid.origin, grid.cell)
         for r, c in zip(*np.nonzero(grid.valid)):
             cell_z = points[(rows == r) & (cols == c), 2]
             assert cell_z.min() <= grid.heights[r, c] <= cell_z.max()
@@ -161,7 +162,7 @@ class TestGridShape:
     def test_holds_every_binned_point(self, xy, cell):
         xy = np.array(xy)
         origin = dem.snapped_origin(xy, cell)
-        row, col = dem.bin_cells(xy, origin, cell)
+        row, col = bin_cells(xy, origin, cell)
         assert dem.grid_shape(xy, origin, cell) == (int(row.max()) + 1, int(col.max()) + 1)
 
     @settings(max_examples=200, deadline=None)
@@ -179,7 +180,7 @@ class TestGridShape:
         # a snapped origin, or one below it, so that rows and columns start above 0
         origin = tuple(np.subtract(dem.snapped_origin(xy, cell), shift))
         (nrows, ncols), cells, slot = dem.occupied_cells(xy, origin, cell)
-        row, col = dem.bin_cells(xy, origin, cell)
+        row, col = bin_cells(xy, origin, cell)
         expected_cells, expected_slot = np.unique(row * ncols + col, return_inverse=True)
         assert (nrows, ncols) == dem.grid_shape(xy, origin, cell)
         assert cells.dtype == expected_cells.dtype and np.array_equal(cells, expected_cells)
@@ -218,7 +219,7 @@ class TestRefineDem:
         blob = rng.uniform(0, 1, size=(400, 3)) * np.array([1, 1, 0.02]) + np.array([2, 3, 3.5])
         grid = build_height_grid(np.concatenate([ground, blob]), 0.5, min_samples=3)
         refined = refine_dem(grid, 10.0, 1.0, 0.3)
-        row, col = dem.bin_cells(np.array([[2.5, 3.5]]), refined.origin, refined.cell)
+        row, col = bin_cells(np.array([[2.5, 3.5]]), refined.origin, refined.cell)
         assert refined.valid[row[0], col[0]]
         assert abs(refined.heights[row[0], col[0]] - 0.5) < 0.05
 
@@ -291,7 +292,7 @@ class TestGroundQueries:
 
 def reference_ground_heights(grid, xy):
     """Clipped 2-D indexing and np.where: the lookup as first written."""
-    row, col = dem.bin_cells(xy, grid.origin, grid.cell)
+    row, col = bin_cells(xy, grid.origin, grid.cell)
     nrows, ncols = grid.shape
     inside = (row >= 0) & (row < nrows) & (col >= 0) & (col < ncols)
     rs, cs = np.clip(row, 0, nrows - 1), np.clip(col, 0, ncols - 1)
@@ -359,3 +360,30 @@ class TestAsciiExport:
         rows = "".join(" ".join(map(repr, row)) + "\n" for row in heights[::-1].tolist())
         assert rows.startswith("-7e-07 12.345678901234567 -9999.0 -0.0\n")
         assert to_ascii_grid(grid) == (header + rows).encode()
+
+    @pytest.mark.parametrize("budget", [1, 4, 7, 8, 12, 1 << 16])
+    def test_row_chunks_join_to_whole_rows(self, rng, monkeypatch, budget):
+        heights = rng.normal(0.0, 3.0, (5, 4))
+        heights[rng.random((5, 4)) < 0.3] = NODATA
+        grid = DemGrid((0.0, 0.0), 0.5, heights, np.ones((5, 4), dtype=np.int64), heights != NODATA)
+        monkeypatch.setattr(dem, "_ASCII_CHUNK_VALUES", budget)
+        rows = "".join(" ".join(map(repr, row)) + "\n" for row in heights[::-1].tolist())
+        assert to_ascii_grid(grid).endswith(b"NODATA_value -9999.0\n" + rows.encode())
+
+    def test_wide_grid_peak_memory(self, rng):
+        # 200 rows of 2,512 mostly empty cells, as a long diagonal road's
+        # refined DEM: the values are formatted a few rows at a time
+        heights = np.full((200, 2512), NODATA)
+        valid = rng.random(heights.shape) < 0.0015
+        heights[valid] = rng.normal(0.0, 2.0, valid.sum())
+        grid = DemGrid((0.0, 0.0), 0.5, heights, valid.astype(np.int64), valid)
+        to_ascii_grid(DemGrid((0.0, 0.0), 0.5, heights[:1], valid[:1], valid[:1]))  # warm
+        tracemalloc.start()
+        try:
+            text = to_ascii_grid(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the joined text twice, plus one row chunk's working set
+        assert peak < 8 * len(text)   # reads about 5x; 32x in 512-row chunks
+        assert text.endswith(b"".join(format_float_rows(list(heights[::-1].T))))

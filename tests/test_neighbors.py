@@ -225,10 +225,14 @@ class TestCandidateLists:
         reach=st.sampled_from([0.5, 1.0, 1.6]),
         picks=st.lists(st.integers(0, 999), min_size=1, max_size=40),
         cell_batch=st.integers(1, 9),
+        flat=st.sampled_from([None, 0, 1, 2]),
     )
     def test_batch_lists_equal_cell_candidates(self, seed, cell_size, reach, picks,
-                                               cell_batch):
+                                               cell_batch, flat):
         points = np.random.default_rng(seed).uniform(0, 4, size=(300, 3))
+        if flat is not None:
+            # one cell along that axis: a column's run is clamped at both ends
+            points[:, flat] = 1.7
         index = build_index(cloud_of(points), cell_size)
         radius = reach * cell_size
         slots = list(dict.fromkeys(p % index.cell_count for p in picks))

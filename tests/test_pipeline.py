@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from curbmap import (CropBox, CurbmapError, EmptyInputError, PipelineConfig, PipelineError, PointCloud,
                      SceneSpec, SemanticLabel, detect_curbs, generate_scene, read_compact,
                      run_pipeline, saliency_field, write_cloud)
-from curbmap import cli, pipeline, voting
+from curbmap import cli, curb, pipeline, semantic, voting
 from curbmap.cli import main
 from curbmap.pipeline import STAGES
 from curbmap.scene import curb_face_distance
@@ -22,6 +23,16 @@ SMALL_SPEC = SceneSpec(extent=10.0, road_width=5.0, wall_x=(4.0,),
 @pytest.fixture(scope="module")
 def small_cloud():
     return generate_scene(SMALL_SPEC)
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("injected")
+
+
+# the callee that test_failure_names_its_stage makes raise for each stage
+# that no input makes fail
+FAILING_CALLEES = {"vote": (voting, "sparse_vote"), "decompose": (voting, "attach_saliencies"),
+                   "curb": (curb, "detect_curbs"), "grid": (semantic, "classify_cells")}
 
 
 def config_for(tmp_path, **overrides):
@@ -74,20 +85,6 @@ class TestRunPipeline:
         result = run_pipeline(config, cloud=small_cloud)
         assert np.abs(result.cloud.points[:, :2]).max() <= 2.0
 
-    def test_empty_crop_names_stage(self, tmp_path, small_cloud):
-        config = config_for(tmp_path, crop=CropBox((50, 50, 50), (60, 60, 60)))
-        with pytest.raises(PipelineError) as err:
-            run_pipeline(config, cloud=small_cloud)
-        assert err.value.stage == "crop"
-        assert "crop" in str(err.value)
-
-    def test_failed_run_removes_partial_outputs(self, tmp_path, small_cloud):
-        config = config_for(tmp_path, out_dem=str(tmp_path / "no_dir" / "x.asc"))
-        with pytest.raises(PipelineError) as err:
-            run_pipeline(config, cloud=small_cloud)
-        assert err.value.stage == "export"
-        assert not (tmp_path / "out.xyz").exists()
-
     def test_export_failure_mid_stream_removes_cloud(self, tmp_path, small_cloud,
                                                      monkeypatch):
         out = tmp_path / "out.xyz"
@@ -103,6 +100,38 @@ class TestRunPipeline:
         assert err.value.stage == "export"
         assert "device full" in str(err.value)
         assert not out.exists()
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_failure_names_its_stage(self, tmp_path, small_cloud, monkeypatch, stage):
+        cloud, overrides = small_cloud, {}
+        if stage == "parse":
+            (tmp_path / "bad.xyz").write_bytes(b"1.0 2.0 oops\n")
+            cloud, overrides = None, {"input_path": str(tmp_path / "bad.xyz"),
+                                      "input_format": "xyz"}
+        elif stage == "crop":   # no point left
+            overrides = {"crop": CropBox((50, 50, 50), (60, 60, 60))}
+        elif stage == "index":  # far in z only: the xy label grid is small, so crop passes it on
+            cloud = PointCloud(np.vstack([np.random.default_rng(5).uniform(0, 2, (200, 3)),
+                                          [1.0, 1.0, 1e19]]))
+        elif stage == "dem":    # one point is no ground
+            cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
+        elif stage == "export":  # the cloud is written, then the DEM's directory is missing
+            overrides = {"out_dem": str(tmp_path / "no_dir" / "x.asc")}
+        else:
+            monkeypatch.setattr(*FAILING_CALLEES[stage], _raise)
+        reports = []
+        new_report = pipeline.TimingReport
+        monkeypatch.setattr(pipeline, "TimingReport",
+                            lambda: reports.append(new_report()) or reports[-1])
+        config = config_for(tmp_path, **overrides)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config, cloud=cloud)
+        assert err.value.stage == stage and f"stage '{stage}' failed" in str(err.value)
+        assert pickle.loads(pickle.dumps(err.value)).stage == stage
+        earlier = list(STAGES[:STAGES.index(stage)])
+        assert list(reports[0].seconds) == earlier == list(reports[0].stage_peak_rss_mb)
+        outputs = (config.out_cloud, config.out_dem, config.out_raster, config.out_grid)
+        assert not any(Path(path).exists() for path in outputs)
 
     @pytest.mark.parametrize("fmt", ["pcd", "xyz"])
     def test_streamed_cloud_equals_write_cloud(self, tmp_path, small_cloud, fmt):
@@ -153,8 +182,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("points", [
         np.column_stack([np.zeros(2000),
                          np.random.default_rng(3).uniform((-5.0, 0.0), (5.0, 2.0), (2000, 2))]),
-        np.array([[1.0, 2.0, 3.0]]),
-    ], ids=["vertical_wall", "single_point"])
+    ], ids=["vertical_wall"])
     def test_degenerate_cloud_names_dem_stage(self, tmp_path, points):
         with pytest.raises(PipelineError) as err:
             run_pipeline(config_for(tmp_path), cloud=PointCloud(points))
@@ -170,13 +198,6 @@ class TestRunPipeline:
         assert len(result.detection.indices) == len(result.detection.confidence) == 0
         assert counts["grid_road_curb"] == 0
         assert counts["grid_cells"] == 1
-
-    def test_cell_key_overflow_names_index_stage(self, tmp_path):
-        # far in z only: the xy label grid is small, so crop passes it on
-        points = np.vstack([np.random.default_rng(5).uniform(0, 2, (200, 3)), [1.0, 1.0, 1e19]])
-        with pytest.raises(PipelineError) as err:
-            run_pipeline(config_for(tmp_path), cloud=PointCloud(points))
-        assert err.value.stage == "index"
 
     def test_far_point_grid_refused(self, tmp_path, street_cloud, monkeypatch):
         # one lone point 10 km off the street: a 0.12 m label grid over

@@ -2,7 +2,8 @@
 
 The scripts import from curbmap, so a name retired from the package
 shows up here as an ImportError. The demo's per-run code runs on a
-thinned street, and the labeled cloud it writes runs through the CLI.
+thinned street, and the labeled cloud it writes runs through the CLI;
+its grid points run one fresh process each.
 The package itself imports nothing beyond the standard library and
 numpy, and every function the benchmark's tracer wraps still exists
 where the tracer looks for it.
@@ -91,3 +92,19 @@ def test_demo_run_prints_scored_report(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert json.loads(out)["written"] == [str(grid)]
+
+
+def test_demo_points_run_in_fresh_processes(tmp_path, monkeypatch, capfd):
+    # each point's child imports the script and perfbench's modules: no
+    # bytecode is written there
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    demo = importlib.import_module("run_street_demo")
+    points = [(name, demo.SceneSpec(**demo.WORKLOADS[name].scene_kwargs(0, scale=0.2)), 0.3, 0.35)
+              for name in ("street", "survey")]
+    assert demo.run_each(points, 1, tmp_path) == [True, True]
+    first, second = map(json.loads, capfd.readouterr().out.splitlines())
+    assert (first["workload"], second["workload"]) == ("street", "survey")
+    # in one process the survey would start at the street's high-water mark
+    assert second["stage_peak_rss_mb"]["parse"] < first["peak_rss_mb"]
