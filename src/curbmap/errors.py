@@ -1,8 +1,18 @@
 """Exception types shared across the pipeline."""
 
+import copyreg
+
 
 class CurbmapError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    Instances pickle as their args and attributes and unpickle without
+    calling __init__, so a message a subclass formats is not formatted
+    again when the error crosses a process boundary.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(CurbmapError):
@@ -42,6 +52,3 @@ class PipelineError(CurbmapError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
-
-    def __reduce__(self):  # pickled by its arguments, so it crosses process boundaries
-        return type(self), (self.stage, self.cause)

@@ -34,6 +34,8 @@ CELL_BATCH = 48
 # Receiver-candidate pairs per block: a cell block above it is split by
 # octant, and a block still above it is cut into row chunks.
 BLOCK_PAIRS = 1 << 16
+# ufunc buffer size, in elements, for block_offsets' outer subtraction
+_OFFSET_BUFSIZE = 128
 
 
 @dataclass
@@ -190,17 +192,39 @@ def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:
                             np.append(starts, len(keys)), order.astype(np.int64, copy=False))
 
 
-def _count_block(qp, cp, r2: float) -> np.ndarray:
-    """For each query of qp (3, k), how many candidates of cp (3, m) lie within r2.
+def block_offsets(rp, cp) -> np.ndarray:
+    """Offsets and squared distances of receivers rp (3, k) against candidates cp (3, m).
 
-    Offsets are candidate minus query and the squared components are
-    summed left to right, the operand order of the linear-scan
-    reference, so a pair on the boundary counts exactly as it does there.
+    Returns one (4, k, m) array: the receiver-minus-candidate offsets dx,
+    dy and dz, then d2 = (dx*dx + dy*dy) + dz*dz in that fixed order,
+    the linear-scan reference's; IEEE subtraction is sign-symmetric, so
+    d2 is the same whichever side is subtracted.
+
+    The three outer subtractions run under a 128-element ufunc buffer,
+    set and restored around them alone: candidate rows are a few hundred
+    long, and numpy's default buffer of 8,192 elements makes the
+    subtraction about three times as costly per element. The buffer
+    changes how numpy walks the arrays, not a result byte. numpy keeps
+    it per context, so each worker thread sets it for itself.
     """
-    d2 = (cp[0] - qp[0][:, None]) ** 2
-    d2 += (cp[1] - qp[1][:, None]) ** 2
-    d2 += (cp[2] - qp[2][:, None]) ** 2
-    return np.count_nonzero(d2 <= r2, axis=1)
+    # one allocation: freeing it lifts glibc's mmap and trim thresholds above a block's frees
+    out = np.empty((4, rp.shape[1], cp.shape[1]))
+    bufsize = np.setbufsize(_OFFSET_BUFSIZE)
+    try:
+        for axis in range(3):
+            np.subtract.outer(rp[axis], cp[axis], out=out[axis])
+    finally:
+        np.setbufsize(bufsize)
+    dx, dy, dz, d2 = out
+    np.multiply(dx, dx, out=d2)
+    d2 += dy * dy
+    d2 += dz * dz
+    return out
+
+
+def _count_block(qp, cp, r2: float) -> np.ndarray:
+    """For each query of qp (3, k), how many candidates of cp (3, m) lie within r2."""
+    return np.count_nonzero(block_offsets(qp, cp)[3] <= r2, axis=1)
 
 
 def radius_neighbors(index: UniformGridIndex, radius: float) -> np.ndarray:

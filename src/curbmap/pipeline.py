@@ -45,13 +45,17 @@ class TimingReport:
     far, not this run's own.
     stage_peak_rss_mb is the same high-water mark read as each stage
     ends, so the first stage at which it reaches peak_rss_mb is the one
-    that set the run's peak.
+    that set the run's peak. stage_minor_faults is each stage's count of
+    minor page faults, read in the same call: a stage that keeps handing
+    memory back to the kernel and faulting it in again shows far more
+    faults than its memory has pages.
     """
 
     seconds: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     peak_rss_mb: float = 0.0
     stage_peak_rss_mb: dict[str, float] = field(default_factory=dict)
+    stage_minor_faults: dict[str, int] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -59,12 +63,14 @@ class TimingReport:
 
     def to_json(self, **extra) -> str:
         """The report as one line of JSON: seconds, total_s, counts,
-        peak_rss_mb, stage_peak_rss_mb, then the keys of `extra`."""
+        peak_rss_mb, stage_peak_rss_mb, stage_minor_faults, then the keys
+        of `extra`."""
         return json.dumps({"seconds": {stage: self.seconds[stage]
                                        for stage in STAGES if stage in self.seconds},
                            "total_s": self.total, "counts": self.counts,
                            "peak_rss_mb": self.peak_rss_mb,
-                           "stage_peak_rss_mb": self.stage_peak_rss_mb, **extra})
+                           "stage_peak_rss_mb": self.stage_peak_rss_mb,
+                           "stage_minor_faults": self.stage_minor_faults, **extra})
 
 
 @dataclass
@@ -75,11 +81,6 @@ class PipelineResult:
     detection: curb_mod.CurbDetection
     grid: semantic.SemanticGrid
     written: list[str]
-
-
-def _peak_rss_mb() -> float:
-    """The process's high-water resident set size in MiB."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> PipelineResult:
@@ -96,10 +97,13 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     def stage(name: str):
         nonlocal current
         current = name
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         yield
         report.seconds[name] = time.perf_counter() - t0
-        report.stage_peak_rss_mb[name] = _peak_rss_mb()
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        report.stage_peak_rss_mb[name] = usage.ru_maxrss / 1024  # KiB on Linux
+        report.stage_minor_faults[name] = usage.ru_minflt - faults
 
     try:
         with stage("parse"):
@@ -171,7 +175,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
             except OSError:
                 pass
         raise PipelineError(current, exc) from exc
-    report.peak_rss_mb = _peak_rss_mb()
+    report.peak_rss_mb = report.stage_peak_rss_mb["export"]   # the run ends with export
     return PipelineResult(report, cloud, refined, detection, grid, written)
 
 

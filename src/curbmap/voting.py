@@ -26,14 +26,6 @@ and keep the candidates within reach of it, and a block still above it
 is cut into row chunks. Every block lists all in-radius candidates of
 its receivers in ascending order, so each receiver hands reduceat the
 same values in the same order whatever the split.
-
-The kernel's offset step, three np.subtract.outer calls over rows of a
-few hundred candidates, runs under a 128-element ufunc buffer, set and
-restored around that step alone. numpy's default buffer of 8,192
-elements is longer than a row, and at that size the outer subtraction
-costs about three times as much per element; the buffer only changes
-how numpy walks the arrays, not a single result byte. numpy keeps the
-buffer size per context, so each worker thread sets it for itself.
 """
 
 from __future__ import annotations
@@ -46,16 +38,11 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import EmptyInputError
-from .neighbors import CELL_BATCH, UniformGridIndex, build_index
+from .neighbors import CELL_BATCH, UniformGridIndex, block_offsets, build_index
 
 # Default cutoff multiplier: decay drops below 1e-3 past sigma*sqrt(ln 1000).
 CUTOFF_SIGMAS = math.sqrt(math.log(1000.0))
 
-# ufunc buffer size, in elements, for the (k, m) offset step. Candidate
-# rows are a few hundred long, and np.subtract.outer over rows that short
-# runs about 3x faster per element with this buffer than with numpy's
-# default of 8,192; the stages outside the kernel keep the default.
-_OFFSET_BUFSIZE = 128
 # Tensors per np.linalg.eigh call in decompose_batch, and per decompose_batch
 # call in attach_saliencies.
 _DECOMPOSE_ROWS = 1024
@@ -118,27 +105,15 @@ def _reduce_block(rp, cp, r2: float, s2: float) -> tuple[np.ndarray, int]:
     or threads.
     """
     k, m = rp.shape[1], cp.shape[1]
-    bufsize = np.setbufsize(_OFFSET_BUFSIZE)
-    try:
-        dx = np.subtract.outer(rp[0], cp[0])
-        dy = np.subtract.outer(rp[1], cp[1])
-        dz = np.subtract.outer(rp[2], cp[2])
-    finally:
-        np.setbufsize(bufsize)
-    d2 = dx * dx
-    d2 += dy * dy
-    d2 += dz * dz
-    mask = d2 <= r2
-    mask &= d2 > 0.0
+    offsets = block_offsets(rp, cp)
+    mask = offsets[3] <= r2
+    mask &= offsets[3] > 0.0
     flat = np.flatnonzero(mask)
     out = np.zeros((k, 6))
     if len(flat) == 0:
         return out, 0
-    d2 = d2.take(flat)
-    ux = dx.take(flat)
-    uy = dy.take(flat)
-    uz = dz.take(flat)
-    del dx, dy, dz, mask   # free the (k, m) blocks before the per-pair arrays
+    ux, uy, uz, d2 = (plane.take(flat) for plane in offsets)
+    del offsets, mask   # free the (k, m) block before the per-pair arrays
     w = np.negative(d2)
     w /= s2
     np.exp(w, out=w)

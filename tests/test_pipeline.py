@@ -129,7 +129,8 @@ class TestRunPipeline:
         assert err.value.stage == stage and f"stage '{stage}' failed" in str(err.value)
         assert pickle.loads(pickle.dumps(err.value)).stage == stage
         earlier = list(STAGES[:STAGES.index(stage)])
-        assert list(reports[0].seconds) == earlier == list(reports[0].stage_peak_rss_mb)
+        assert (list(reports[0].seconds) == earlier == list(reports[0].stage_peak_rss_mb)
+                == list(reports[0].stage_minor_faults))
         outputs = (config.out_cloud, config.out_dem, config.out_raster, config.out_grid)
         assert not any(Path(path).exists() for path in outputs)
 
@@ -154,6 +155,11 @@ class TestRunPipeline:
         assert data["stage_peak_rss_mb"] == peaks
         assert list(data["stage_peak_rss_mb"]) == list(STAGES)
         assert data["peak_rss_mb"] == timing.peak_rss_mb
+        # page faults are read in the same getrusage call, per stage
+        faults = timing.stage_minor_faults
+        assert list(faults) == list(STAGES)
+        assert all(isinstance(count, int) and count >= 0 for count in faults.values())
+        assert data["stage_minor_faults"] == faults
 
     def test_thread_count_invariance(self, tmp_path, small_cloud):
         grids = {}
@@ -329,6 +335,7 @@ class TestCli:
         assert sum(histogram) == data["counts"]["grid_cells"]
         assert data["peak_rss_mb"] > 0.0
         assert list(data["stage_peak_rss_mb"]) == list(STAGES)
+        assert list(data["stage_minor_faults"]) == list(STAGES)
         assert data["written"] == []
 
     def test_missing_input_is_usage_error(self, capsys):

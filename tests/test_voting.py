@@ -1,11 +1,19 @@
+import json
 import math
+import os
+import platform
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curbmap
 from curbmap import (EmptyInputError, PointCloud, VotingParams, attach_saliencies, build_index,
                      decay, decompose_batch, saliencies, saliency_field, sparse_vote)
 from curbmap import neighbors, voting
@@ -422,6 +430,39 @@ class TestOffsetBuffer:
             assert np.getbufsize() == 4096
         finally:
             np.setbufsize(saved)
+
+
+# A first vote in a fresh interpreter: 6,000 points in the unit cube at a
+# 0.35 cutoff, so most blocks are cut at BLOCK_PAIRS. The cloud is drawn
+# straight into its array, and no array above glibc's initial 128 KiB mmap
+# threshold is freed before the vote, so nothing has raised it yet.
+FIRST_VOTE = """
+import json, resource
+import numpy as np
+from curbmap import PointCloud, VotingParams, build_index, sparse_vote
+cloud = PointCloud(np.random.default_rng(0).random((6000, 3)))
+index = build_index(cloud, 0.35)
+counts = {}
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sparse_vote(cloud, index, VotingParams(sigma=0.13, cutoff=0.35), counts=counts)
+counts["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="reads glibc's heap behaviour")
+def test_first_vote_does_not_refault_each_block():
+    """The vote's working set is a few MiB: one block and its in-radius
+    pairs. If each block's memory went back to the kernel when freed,
+    every block would fault it in again, hundreds of MiB over this vote."""
+    src = str(Path(curbmap.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", FIRST_VOTE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["vote_max_block_pairs"] > neighbors.BLOCK_PAIRS // 2
+    faulted_mib = counts["minor_faults"] * resource.getpagesize() / 2 ** 20
+    assert faulted_mib < 32, (counts["vote_blocks"], faulted_mib)
 
 
 def plane_patch(rng, half=1.5, density=450.0, noise=0.01):
