@@ -513,7 +513,7 @@ def format_float_rows(columns) -> Iterator[bytes]:
     notation below 1e-4 and from 1e16 on, in fixed notation otherwise;
     "inf", "-inf" and "nan" (no sign) for the special values. Values are
     separated by one space and each row ends in a newline. This is the
-    float-text format of cloud files; dem.to_ascii_grid writes the DEM's
+    float-text format of cloud files; dem.dem_chunks writes the DEM's
     rows with _float_text itself. A chunk holds up to _CHUNK_ROWS rows.
     """
     for a in range(0, len(columns[0]), _CHUNK_ROWS):

@@ -44,7 +44,6 @@ _SECTIONS = {
     "semantic": "classify",
     "run": {k: k for k in ("threads", "out_cloud", "out_dem", "out_raster", "out_grid")},
 }
-_BOOLS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def config_sections(config: PipelineConfig):
@@ -57,14 +56,6 @@ def config_sections(config: PipelineConfig):
         else:
             owner = getattr(config, spec)
             yield section, spec, owner, {f.name: f.name for f in fields(owner)}
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def parse_crop(text: str) -> CropBox | None:
@@ -108,8 +99,8 @@ def parse_config(text: str, overrides: dict[str, dict[str, str]] | None = None) 
                 default = getattr(owner, attr)
                 kind = float if default is None else type(default)
                 try:
-                    given[attr] = _BOOLS[text.lower()] if kind is bool else kind(text)
-                except (KeyError, ValueError):
+                    given[attr] = kind(text)
+                except ValueError:
                     raise ValueError(f"[{section}] {key}: expected {kind.__name__}, "
                                      f"got {text!r}") from None
         if field_name:
@@ -127,7 +118,6 @@ _KEY_DOCS = {
     ("cloud", "crop"): "optional axis-aligned crop: x0,y0,z0,x1,y1,z1 (inclusive bounds)",
     ("voting", "sigma"): "decay scale in meters",
     ("voting", "cutoff"): "neighbor cutoff radius; leave blank for sigma * sqrt(ln 1000)",
-    ("voting", "include_self"): "keep each point's unit ball encoding in its accumulated tensor",
     ("dem", "stick_threshold"): "ground candidates need stick >= stick_threshold * max(stick)",
     ("dem", "max_angle_deg"): "and a normal within this many degrees of vertical",
     ("dem", "height_cell"): "fine height grid cell (m), sample source for both DEM stages",
@@ -163,5 +153,6 @@ def default_config_text() -> str:
         for key, attr in keys.items():
             if (section, key) in _KEY_DOCS:
                 lines.append(f"# {_KEY_DOCS[section, key]}")
-            lines.append(f"{key} = {_fmt(declared[attr])}".rstrip())
+            value = declared[attr]
+            lines.append(f"{key} = {'' if value is None else value}".rstrip())
     return "\n".join(lines) + "\n"

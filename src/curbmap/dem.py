@@ -19,6 +19,7 @@ coarse cell, which holds for canopy-like outliers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import CurbmapError, EmptyInputError
 NODATA = -9999.0
 # Largest 2D grid a DEM or label grid may allocate, in cells.
 MAX_GRID_CELLS = 1 << 25
-# Heights to_ascii_grid formats at once, in whole rows (at least one).
+# Heights dem_chunks formats at once, in whole rows (at least one).
 _ASCII_CHUNK_VALUES = 1 << 16
 
 
@@ -304,10 +305,11 @@ def ground_heights(dem: DemGrid, xy: np.ndarray):
     return heights, known
 
 
-def to_ascii_grid(dem: DemGrid) -> bytes:
-    """ESRI-style ASCII grid text, rows written from the top (max y) down."""
+def dem_chunks(dem: DemGrid) -> Iterator[bytes]:
+    """ESRI-style ASCII grid text in chunks: the header, then whole rows
+    from the top (max y) down, about _ASCII_CHUNK_VALUES heights each."""
     nrows, ncols = dem.shape
-    lines = [
+    yield "\n".join([
         f"ncols {ncols}",
         f"nrows {nrows}",
         f"xllcorner {dem.origin[0]!r}",
@@ -315,8 +317,13 @@ def to_ascii_grid(dem: DemGrid) -> bytes:
         f"cellsize {dem.cell!r}",
         f"NODATA_value {NODATA!r}",
         "",
-    ]
+    ]).encode()
     rows = max(1, _ASCII_CHUNK_VALUES // ncols)
     top_down = dem.heights[::-1].astype(np.float64, copy=False)
-    chunks = (_float_text(top_down[a:a + rows].ravel(), ncols) for a in range(0, nrows, rows))
-    return b"".join(["\n".join(lines).encode(), *chunks])
+    for a in range(0, nrows, rows):
+        yield _float_text(top_down[a:a + rows].ravel(), ncols)
+
+
+def to_ascii_grid(dem: DemGrid) -> bytes:
+    """The chunks of dem_chunks, joined."""
+    return b"".join(dem_chunks(dem))

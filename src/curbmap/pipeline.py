@@ -163,7 +163,7 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
                 labeled = cloud.with_channels(curb_conf=curb_conf)
                 _write(config.out_cloud, cloud_chunks(labeled, config.input_format), written)
             if config.out_dem:
-                _write(config.out_dem, [dem_mod.to_ascii_grid(refined)], written)
+                _write(config.out_dem, dem_mod.dem_chunks(refined), written)
             if config.out_raster:
                 _write(config.out_raster, [semantic.render_raster(grid)], written)
             if config.out_grid:

@@ -57,13 +57,13 @@ class VotingParams:
 
     sigma: decay scale in meters. cutoff: neighbor truncation radius
     (defaults to sigma * sqrt(ln 1000), beyond which decay <= 1e-3).
-    include_self: whether each point keeps its unit ball encoding in the
-    accumulated sum.
     """
 
     sigma: float = 0.3
     cutoff: float | None = None
-    include_self: bool = True
+    # not a field: every point keeps its unit ball; perfbench's saliency
+    # oracle is the only reader, until it reads the run report
+    include_self = True
 
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
@@ -190,9 +190,8 @@ def sparse_vote(
         blocks, examined, in_radius, largest = zip(*tallies)
         counts.update(vote_blocks=sum(blocks), vote_pairs_examined=sum(examined),
                       vote_pairs_in_radius=sum(in_radius), vote_max_block_pairs=max(largest))
-    if params.include_self:
-        for col in (0, 3, 5):   # in place, not through a fancy-indexed copy
-            out[:, col] += 1.0
+    for col in (0, 3, 5):   # the unit ball, last, in place: no fancy-indexed copy
+        out[:, col] += 1.0
     return out
 
 

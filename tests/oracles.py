@@ -93,13 +93,13 @@ def ball_vote_quadrature(receiver, voter, sigma: float,
     return math.exp(-(d * d) / (sigma * sigma)) * accum
 
 
-def double_loop_vote(points: np.ndarray, sigma: float, cutoff: float,
-                     include_self: bool = True) -> np.ndarray:
+def double_loop_vote(points: np.ndarray, sigma: float, cutoff: float) -> np.ndarray:
     """Reference sparse voting: an explicit loop over every receiver.
 
     For receiver i, every other point j is examined in ascending index
     order; contributions inside the cutoff are reduced with one
-    np.add.reduceat call per receiver.
+    np.add.reduceat call per receiver, and each point's unit ball is
+    added last.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -129,8 +129,7 @@ def double_loop_vote(points: np.ndarray, sigma: float, cutoff: float,
         contrib[:, 5] = w * (1.0 - uz * uz)
         if len(w):
             out[i] = np.add.reduceat(contrib, [0], axis=0)[0]
-    if include_self:
-        out[:, (0, 3, 5)] += 1.0
+    out[:, (0, 3, 5)] += 1.0
     return out
 
 

@@ -77,12 +77,12 @@ class TestCriterion3BallVoteOracle:
             offset *= rng.uniform(0.1, 1.2) / np.linalg.norm(offset)
             receiver = voter + offset
             sigma = rng.uniform(0.2, 0.8)
-            # the vote the production kernel gives the receiver; the cutoff
-            # exceeds the 1.2 m maximum offset
+            # the vote the production kernel gives the receiver, less its
+            # unit ball; the cutoff exceeds the 1.2 m maximum offset
             cloud = PointCloud(np.array([receiver, voter]))
-            params = VotingParams(sigma=sigma, cutoff=2.0, include_self=False)
+            params = VotingParams(sigma=sigma, cutoff=2.0)
             t6 = sparse_vote(cloud, build_index(cloud, params.cutoff), params)
-            closed = sym_to_matrices(t6[:1])[0]
+            closed = sym_to_matrices(t6[:1])[0] - np.eye(3)
             integral = ball_vote_quadrature(receiver, voter, sigma)
             diff = closed / frobenius(closed) - integral / frobenius(integral)
             worst = max(worst, frobenius(diff))

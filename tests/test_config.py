@@ -20,7 +20,6 @@ crop =
 [voting]
 sigma = 0.3
 cutoff =
-include_self = true
 [curb]
 plate_threshold = 0.3
 outlier_min_neighbors = 3
@@ -38,7 +37,6 @@ crop = -10, -10, -1, 10, 10, 1
 [voting]
 sigma = 0.25
 cutoff =
-include_self = off
 [curb]
 plate_threshold = 0.35
 outlier_min_neighbors = 5
@@ -50,7 +48,7 @@ out_grid = map.sgrd
             input_path="street.xyz",
             input_format="pcd",
             crop=CropBox((-10.0, -10.0, -1.0), (10.0, 10.0, 1.0)),
-            voting=VotingParams(sigma=0.25, cutoff=0.25 * CUTOFF_SIGMAS, include_self=False),
+            voting=VotingParams(sigma=0.25, cutoff=0.25 * CUTOFF_SIGMAS),
             curb=CurbParams(plate_threshold=0.35, outlier_min_neighbors=5),
             threads=4,
             out_grid="map.sgrd",
@@ -70,11 +68,14 @@ out_grid = map.sgrd
         for section in ("[cloud]", "[voting]", "[dem]", "[curb]", "[semantic]", "[run]"):
             assert section in text
         sections = {section: keys for section, _, _, keys in config_sections(PipelineConfig())}
-        assert sum(map(len, sections.values())) == 28
+        assert sum(map(len, sections.values())) == 27
         for section, keys in sections.items():
             block = text.split(f"[{section}]\n")[1].split("\n[")[0]
             for key in keys:
                 assert f"\n{key} =" in f"\n{block}", f"[{section}] {key}"
+
+    def test_voting_keys_are_sigma_and_cutoff(self):
+        assert [f.name for f in dataclasses.fields(VotingParams)] == ["sigma", "cutoff"]
 
 
 class TestPartialFiles:
@@ -88,14 +89,7 @@ class TestPartialFiles:
         config = parse_config("[voting]\nsigma = 0.4\ncutoff =\n")
         assert abs(config.voting.cutoff - 0.4 * 2.6282608848784663) < 1e-12
 
-    def test_bool_parsing(self):
-        assert parse_config("[voting]\ninclude_self = true\n").voting.include_self
-        assert not parse_config("[voting]\ninclude_self = false\n").voting.include_self
-
     @pytest.mark.parametrize("section, key, text", [
-        ("voting", "include_self", "ture"),
-        ("voting", "include_self", "2"),
-        ("voting", "include_self", "y"),
         ("voting", "sigma", "abc"),
         ("run", "threads", "two"),
         ("curb", "outlier_min_neighbors", "3.5"),
@@ -125,6 +119,8 @@ class TestPartialFiles:
         ("[voting]\nsigmaa = 0.5\n", r"\[voting\] sigmaa"),
         ("[cloud]\ninput_path = a.xyz\n", r"\[cloud\] input_path"),
         ("[DEFAULT]\nsigma = 0.5\n", r"\[DEFAULT\]"),
+        # every point keeps its unit ball; the switch is gone
+        ("[voting]\ninclude_self = false\n", r"\[voting\] include_self: unknown key"),
     ])
     def test_unknown_section_or_key_named(self, text, name):
         with pytest.raises(ValueError, match=name):

@@ -12,6 +12,7 @@ from curbmap import (ChannelMissingError, CurbmapError, DemGrid, EmptyInputError
                      refine_dem, saliency_field, to_ascii_grid)
 from curbmap.cloud import format_float_rows
 from curbmap.dem import NODATA
+from curbmap.pipeline import _write
 from curbmap.scene import _sample_grid
 
 from oracles import bin_cells, reference_median_grid, reference_refine_dem
@@ -370,13 +371,19 @@ class TestAsciiExport:
         rows = "".join(" ".join(map(repr, row)) + "\n" for row in heights[::-1].tolist())
         assert to_ascii_grid(grid).endswith(b"NODATA_value -9999.0\n" + rows.encode())
 
-    def test_wide_grid_peak_memory(self, rng):
-        # 200 rows of 2,512 mostly empty cells, as a long diagonal road's
-        # refined DEM: the values are formatted a few rows at a time
-        heights = np.full((200, 2512), NODATA)
+    @staticmethod
+    def wide_grid(rng, nrows):
+        """nrows rows of 2,512 mostly empty cells, as a long diagonal road's
+        refined DEM."""
+        heights = np.full((nrows, 2512), NODATA)
         valid = rng.random(heights.shape) < 0.0015
         heights[valid] = rng.normal(0.0, 2.0, valid.sum())
-        grid = DemGrid((0.0, 0.0), 0.5, heights, valid.astype(np.int64), valid)
+        return DemGrid((0.0, 0.0), 0.5, heights, valid.astype(np.int64), valid)
+
+    def test_wide_grid_peak_memory(self, rng):
+        # the values are formatted a few rows at a time
+        grid = self.wide_grid(rng, 200)
+        heights, valid = grid.heights, grid.valid
         to_ascii_grid(DemGrid((0.0, 0.0), 0.5, heights[:1], valid[:1], valid[:1]))  # warm
         tracemalloc.start()
         try:
@@ -387,3 +394,19 @@ class TestAsciiExport:
         # the joined text twice, plus one row chunk's working set
         assert peak < 8 * len(text)   # reads about 5x; 32x in 512-row chunks
         assert text.endswith(b"".join(format_float_rows(list(heights[::-1].T))))
+
+    def test_written_peak_does_not_grow_with_rows(self, rng, tmp_path):
+        # the pipeline writes the chunks as they come, so the written text
+        # is never held whole: ten times the rows, about the same peak
+        peaks = []
+        for nrows in (100, 1000):
+            grid = self.wide_grid(rng, nrows)
+            path = tmp_path / f"{nrows}.asc"
+            tracemalloc.start()
+            try:
+                _write(str(path), dem.dem_chunks(grid), [])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert path.read_bytes() == to_ascii_grid(grid)
+        assert peaks[1] < 1.25 * peaks[0], peaks

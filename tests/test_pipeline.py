@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curbmap import (CropBox, CurbmapError, EmptyInputError, PipelineConfig, PipelineError, PointCloud,
                      SceneSpec, SemanticLabel, detect_curbs, generate_scene, read_compact,
@@ -254,7 +257,62 @@ DEGENERATE_CLOUDS = {
 }
 
 
+def _random_plane(rng, n):
+    """n points scattered over a horizontal square 1-20 m wide at z = 0."""
+    return np.column_stack([rng.uniform(0.0, rng.uniform(1.0, 20.0), (n, 2)), np.zeros(n)])
+
+
+def _far_point(rng, n):
+    points = _random_plane(rng, n)
+    direction = rng.normal(size=3)
+    points[-1] = 10.0 ** rng.uniform(2, 6) * direction / np.linalg.norm(direction)
+    return points
+
+
+def _spikes(rng, n):
+    points = _random_plane(rng, n)
+    spikes = rng.random(n) < 0.1
+    points[spikes, 2] += rng.uniform(0.5, 5.0, spikes.sum())
+    return points
+
+
+def _slab(rng, n):
+    points = _random_plane(rng, n)
+    points[:, 2] = rng.uniform(0.0, 1e-12, n)
+    return points
+
+
+# The shapes the whole-pipeline property draws, each as (rng, n) -> (n, 3)
+AWKWARD_SHAPES = {
+    "gaussian_blob": lambda rng, n: rng.normal(0.0, 10.0 ** rng.uniform(-4, 3), (n, 3)),
+    "plane": _random_plane,
+    "vertical_sheet": lambda rng, n: _random_plane(rng, n)[:, [2, 0, 1]],
+    "duplicate_clusters": lambda rng, n: rng.uniform(0.0, 4.0, (5, 3))[rng.integers(0, 5, n)],
+    "plane_with_spikes": _spikes,
+    "slab_1e-12m": _slab,
+    "offset_plane": lambda rng, n: _random_plane(rng, n) + 10.0 ** rng.uniform(5, 8),
+    "plane_one_far_point": _far_point,
+}
+
+
 class TestAwkwardClouds:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(AWKWARD_SHAPES)), st.integers(1, 1499),
+           st.sampled_from([0.05, 0.3, 1.0]), st.integers(0, 2**32 - 1))
+    def test_any_cloud_gives_result_or_typed_error(self, shape, n, sigma, seed):
+        # a result, or a PipelineError caused by one of the package's own
+        # errors: never a raw numpy error, and no warning
+        points = AWKWARD_SHAPES[shape](np.random.default_rng(seed), n)
+        config = PipelineConfig(voting=voting.VotingParams(sigma=sigma))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = run_pipeline(config, cloud=PointCloud(points))
+            except PipelineError as err:
+                assert isinstance(err.cause, CurbmapError), repr(err.cause)
+            else:
+                assert len(result.cloud) == n
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", sorted(DEGENERATE_CLOUDS))
     def test_degenerate_cloud_result_or_empty_dem(self, name):

@@ -43,11 +43,16 @@ def grid_vote(points, params, cell_size=None, threads=1):
 ONE_CELL = 10.0
 
 
+def votes_alone(points, sigma, cutoff):
+    """The (n, 6) votes each point receives, without its unit ball: the vote
+    kernel with every point as receiver and as candidate."""
+    p = np.asarray(points, dtype=float).T
+    return voting._reduce_block(p, p, cutoff * cutoff, sigma * sigma)[0]
+
+
 def pair_vote(receiver, voter, sigma):
-    """The 3x3 vote `receiver` gets from `voter`: sparse_vote on the pair alone."""
-    cloud = cloud_of([receiver, voter])
-    params = VotingParams(sigma=sigma, cutoff=100.0, include_self=False)
-    return sym_to_matrices(sparse_vote(cloud, build_index(cloud, 100.0), params)[:1])[0]
+    """The 3x3 vote `receiver` gets from `voter`."""
+    return sym_to_matrices(votes_alone([receiver, voter], sigma, 100.0)[:1])[0]
 
 
 class TestDecay:
@@ -136,15 +141,8 @@ class TestSparseVote:
         t6 = sparse_vote(cloud, index, VotingParams(sigma=1.0))
         assert np.array_equal(t6, [[1, 0, 0, 1, 0, 1]])
 
-    def test_isolated_point_without_self(self):
-        t6 = grid_vote([[5, 5, 5]], VotingParams(sigma=1.0, include_self=False))
-        assert np.array_equal(t6, np.zeros((1, 6)))
-
     def test_two_points_single_vote_algebra(self):
-        cloud = cloud_of([[0, 0, 0], [1, 0, 0]])
-        params = VotingParams(sigma=1.0, cutoff=2.0, include_self=False)
-        t6 = sparse_vote(cloud, build_index(cloud, 2.0), params)
-        lam, _ = decompose_batch(t6)
+        lam, _ = decompose_batch(votes_alone([[0, 0, 0], [1, 0, 0]], 1.0, 2.0))
         stick, plate, ball = saliencies(lam)
         for k in range(2):
             assert np.allclose(np.sort(lam[k]), [0.0, E_INV, E_INV], atol=1e-12)
@@ -226,8 +224,7 @@ class TestSparseVote:
 
     def test_accumulated_tensors_are_psd(self, rng):
         points = rng.uniform(0, 2, size=(300, 3))
-        t6 = grid_vote(points, VotingParams(sigma=0.5, include_self=False))
-        lam, _ = decompose_batch(t6)
+        lam, _ = decompose_batch(votes_alone(points, 0.5, 0.5 * CUTOFF_SIGMAS))
         assert lam.min() > -1e-9
 
 
