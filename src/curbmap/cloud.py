@@ -8,12 +8,13 @@ whole file, since real LiDAR dumps routinely contain NaN returns.
 
 The reader decodes its source (a str is encoded once) through the
 standard library's universal-newline reader, io.TextIOWrapper, in blocks
-of about _CHUNK_CHARS characters that each end at a "\n", "\r\n" or
-"\r", and splits each block with str.splitlines: the lines are those of
-the whole text split at once, but the decoded text is never held whole,
-so a parse peaks at about twice the parsed arrays and a pipeline run on
-a text cloud (perfbench's survey, a 7.6 MB ASCII PCD) peaks after the
-vote. Both formats share one data path, in chunks of _CHUNK_ROWS lines so
+of _CHUNK_CHARS characters that may end anywhere, splits each block with
+str.splitlines and carries a block's unfinished last line into the next:
+the lines are those of the whole text split at once, whichever line
+breaks end them, but the decoded text is never held whole, so a parse
+peaks at about twice the parsed arrays and a pipeline run on a text
+cloud (perfbench's survey, a 7.6 MB ASCII PCD) peaks after the vote.
+Both formats share one data path, in chunks of _CHUNK_ROWS lines so
 that no Python frame runs per value: each line is split once with
 str.split, lines without tokens and XYZ comments are dropped, row widths
 are checked with numpy, every token of the chunk goes through one
@@ -152,19 +153,31 @@ def _line_chunks(source: bytes | str) -> Iterator[list[str]]:
     """The lines of source, as str.splitlines gives them, in blocks.
 
     The source is read as UTF-8 through a universal-newline TextIOWrapper
-    in readlines(_CHUNK_CHARS) blocks; each block ends at a "\\n", "\\r\\n"
-    or "\\r", so its splitlines are those of the whole text split at once.
-    Bytes decode with errors replaced; a str is encoded once and decodes
-    back exactly, lone surrogates included. The rarer separators
-    ("\\x85", "\\u2028", ...) split lines inside a block but never end one.
+    in read(_CHUNK_CHARS) blocks that may end anywhere; each is split with
+    splitlines, and a last line no line break ends is carried into the
+    next block. The reader turns "\\r\\n" and "\\r" into "\\n" and holds a
+    trailing "\\r" until its next read, so no line break falls across two
+    blocks. Bytes decode with errors replaced; a str is encoded once and
+    decodes back exactly, lone surrogates included.
     """
     errors = "replace"
     if isinstance(source, str):
         source, errors = source.encode("utf-8", "surrogatepass"), "surrogatepass"
     with io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", errors=errors,
                           newline=None) as reader:
-        while block := reader.readlines(_CHUNK_CHARS):
-            yield "".join(block).splitlines()
+        pieces = []   # the start of a line that no line break has ended yet
+        while block := reader.read(_CHUNK_CHARS):
+            lines = block.splitlines()
+            # "\n".splitlines() is [""]: only a line break splits to something else
+            open_end = block[-1].splitlines() == [block[-1]]
+            pieces.append(lines[0])
+            if open_end and len(lines) == 1:
+                continue
+            lines[0] = "".join(pieces)
+            pieces = [lines.pop()] if open_end else []
+            yield lines
+        if pieces:
+            yield ["".join(pieces)]
 
 
 def _data_lines(lines: Iterator[str], lineno: int, skip_comments: bool):

@@ -127,13 +127,13 @@ class UniformGridIndex:
         doubles the quotient exactly, so each half cell is twice the cell
         plus the octant bit: an octant's receivers share one half cell h
         and keep the candidates within ceil(radius / half cell) half
-        cells of h. A block still above BLOCK_PAIRS is cut into row
-        chunks, or single rows. Rows are independent, so a per-receiver
-        result does not depend on the split.
+        cells of h, one row of a single (octants x candidates) mask;
+        octants come in ascending order. A block still above BLOCK_PAIRS
+        is cut into row chunks, or single rows. Rows are independent, so
+        a per-receiver result does not depend on the split.
         """
         half = self.cell_size / 2.0
         reach = math.ceil(radius / half)
-        pts = self.cloud.points
         for a in range(0, len(slots), CELL_BATCH):
             batch = slots[a:a + CELL_BATCH]
             ptr, candidates = self._candidate_lists(batch, radius)
@@ -142,18 +142,29 @@ class UniformGridIndex:
                 cand = candidates[start:stop]
                 parts = [(recv, cand)]
                 if len(recv) * len(cand) > BLOCK_PAIRS:
-                    hr = np.floor((pts[recv] - self.origin) / half).astype(np.int64)
-                    hc = np.floor((pts[cand] - self.origin) / half).astype(np.int64)
-                    octant = (hr & 1) @ np.array([4, 2, 1])
-                    parts = []
-                    for o in np.unique(octant):
-                        sel = octant == o
-                        near = (np.abs(hc - hr[sel][0]) <= reach).all(axis=1)
-                        parts.append((recv[sel], cand[near]))
+                    parts = self._octants(recv, cand, half, reach)
                 for recv, cand in parts:
                     rows = max(1, BLOCK_PAIRS // len(cand))
                     for r in range(0, len(recv), rows):
                         yield recv[r:r + rows], cand
+
+    def _octants(self, recv, cand, half: float, reach: int):
+        """A cell's (receivers, candidates) split by octant, octants ascending.
+
+        Its temporaries die on return, before `blocks` builds the next
+        batch's candidate lists.
+        """
+        pts = self.cloud.points
+        # take gathers rows faster than fancy indexing does
+        hr = np.floor((pts.take(recv, axis=0) - self.origin) / half).astype(np.int64)
+        hc = np.floor((pts.take(cand, axis=0) - self.origin) / half).astype(np.int64)
+        _, first, which = np.unique((hr & 1) @ np.array([4, 2, 1]),
+                                    return_index=True, return_inverse=True)
+        # (octants, candidates): within reach of each octant's half cell
+        near = np.abs(hc[:, 0] - hr[first, 0, None]) <= reach
+        for axis in (1, 2):
+            near &= np.abs(hc[:, axis] - hr[first, axis, None]) <= reach
+        return [(recv[which == i], cand[n]) for i, n in enumerate(near)]
 
 
 def build_index(cloud: PointCloud, cell_size: float) -> UniformGridIndex:

@@ -3,13 +3,13 @@
 Everything here is deliberately written against the math, not against
 the production code paths: a pivot-driven scalar Jacobi eigensolver, a
 spherical-quadrature realization of the ball vote as an integral of
-rotated stick votes, a plain double-loop voting pass, a per-block
-count of the vote's pairs, a linear-scan radius query and the
-per-candidate outlier filter built on it, the xy cell binning, a
-per-cell loop of lower medians for the DEM grids, and a per-cell loop
-that refills the refined DEM's invalidated cells. The only shared
-primitive is np.add.reduceat, whose per-segment reduction is the
-pipeline's documented deterministic summation.
+rotated stick votes, a plain double-loop voting pass, a per-octant
+block walk, a per-block count of the vote's pairs, a linear-scan
+radius query and the per-candidate outlier filter built on it, the xy
+cell binning, a per-cell loop of lower medians for the DEM grids, and a
+per-cell loop that refills the refined DEM's invalidated cells. The
+only shared primitive is np.add.reduceat, whose per-segment reduction
+is the pipeline's documented deterministic summation.
 
 The text cloud reader and writer here are the row-by-row and
 value-by-value forms of `parse_cloud`, `write_cloud` and
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from curbmap import EmptyInputError, ParseError, ParseSummary, PointCloud
+from curbmap import EmptyInputError, ParseError, ParseSummary, PointCloud, neighbors
 from curbmap.dem import NODATA, DemGrid
 
 
@@ -131,6 +131,37 @@ def double_loop_vote(points: np.ndarray, sigma: float, cutoff: float) -> np.ndar
             out[i] = np.add.reduceat(contrib, [0], axis=0)[0]
     out[:, (0, 3, 5)] += 1.0
     return out
+
+
+def reference_blocks(index, slots, radius: float):
+    """Per-cell, per-octant block walk: the reference for `UniformGridIndex.blocks`.
+
+    A cell above neighbors.BLOCK_PAIRS receiver-candidate pairs is split
+    one octant at a time, in ascending octant order: the octant's
+    receivers, and the candidates within ceil(radius / half cell) half
+    cells of the first receiver's half cell on every axis. Each part is
+    then cut into chunks of max(1, BLOCK_PAIRS // candidates) rows.
+    """
+    half = index.cell_size / 2.0
+    reach = math.ceil(radius / half)
+    pts = index.cloud.points
+    for slot in slots:
+        recv = index.cell_points(slot)
+        cand = index.cell_candidates(slot, radius)
+        parts = [(recv, cand)]
+        if len(recv) * len(cand) > neighbors.BLOCK_PAIRS:
+            hr = np.floor((pts[recv] - index.origin) / half).astype(np.int64)
+            hc = np.floor((pts[cand] - index.origin) / half).astype(np.int64)
+            octant = (hr & 1) @ np.array([4, 2, 1])
+            parts = []
+            for o in np.unique(octant):
+                sel = octant == o
+                near = (np.abs(hc - hr[sel][0]) <= reach).all(axis=1)
+                parts.append((recv[sel], cand[near]))
+        for recv, cand in parts:
+            rows = max(1, neighbors.BLOCK_PAIRS // len(cand))
+            for r in range(0, len(recv), rows):
+                yield recv[r:r + rows], cand
 
 
 def count_vote_pairs(index, cutoff: float) -> dict[str, int]:

@@ -446,9 +446,11 @@ class TestParseFuzz:
         assert self.peak_over_output(rng, b"\n") < 3
 
     def test_peak_memory_cr_only_lines(self, rng):
-        # the same bound when every line ends in a lone "\r": the reader
-        # cuts its chunks there too, not only after a "\n"
-        assert self.peak_over_output(rng, b"\r") < 3
+        # the same bound when every line ends in a lone "\r", or in one of
+        # the rarer breaks str.splitlines honours: the reader's blocks end
+        # anywhere, not only after a "\n"
+        for eol in ["\r", "\x0b", "\x0c", "\x85", "\u2028"]:
+            assert self.peak_over_output(rng, eol.encode()) < 3, repr(eol)
 
     @given(st.data(), st.booleans(), chunk_chars)
     @settings(max_examples=300, deadline=None)
@@ -463,11 +465,11 @@ class TestParseFuzz:
             chunks = list(cloud_module._line_chunks(source))
         assert sum(chunks, []) == text.splitlines()
 
-    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"])
     @pytest.mark.parametrize("as_bytes", [False, True])
     def test_chunks_cut_at_every_line_end(self, eol, as_bytes):
         # a source over _CHUNK_CHARS comes in several blocks, whichever
-        # of the three line ends it uses
+        # line end it uses
         text = "".join(f"{k} 0 0{eol}" for k in range(10_000))
         assert len(text) > 2 * cloud_module._CHUNK_CHARS
         source = text.encode() if as_bytes else text

@@ -10,7 +10,7 @@ from curbmap import (CurbmapError, PointCloud, SceneSpec, VotingParams, build_in
                      generate_scene, neighbors, radius_neighbors, sparse_vote)
 from curbmap.voting import CUTOFF_SIGMAS
 
-from oracles import brute_force_neighbors, double_loop_vote
+from oracles import brute_force_neighbors, double_loop_vote, reference_blocks
 
 
 def cloud_of(points):
@@ -258,3 +258,65 @@ class TestCandidateLists:
         for slot in range(index.cell_count):
             assert np.array_equal(candidates[cell_ptr[slot]:cell_ptr[slot + 1]],
                                   index.cell_candidates(slot, 0.9))
+
+
+def same_blocks(got, expected):
+    """Equal block lists: the same arrays, dtypes included, in the same order."""
+    assert len(got) == len(expected)
+    for (recv, cand), (ref_recv, ref_cand) in zip(got, expected):
+        assert recv.dtype == ref_recv.dtype and cand.dtype == ref_cand.dtype
+        assert np.array_equal(recv, ref_recv) and np.array_equal(cand, ref_cand)
+
+
+class TestBlockWalk:
+    """`blocks` against the per-octant reference walk, block for block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lattice=st.lists(st.tuples(*[st.integers(-6, 12)] * 3), min_size=1, max_size=60),
+        duplicates=st.lists(st.integers(0, 59), max_size=12),
+        scale=st.sampled_from([0.5, 1.0, 1.5]),
+        block_pairs=st.integers(1, 64),
+        data=st.data(),
+    )
+    def test_blocks_equal_reference(self, lattice, duplicates, scale, block_pairs, data):
+        # lattice points, multiples of 0.25 m, sit on half-cell boundaries
+        # of every cell size drawn, and repeats are exact duplicates
+        points = np.array(lattice, dtype=float) * 0.25
+        points = np.concatenate([points, points[[d % len(points) for d in duplicates]]])
+        radius = 1.0
+        index = build_index(cloud_of(points), scale * radius)
+        every = range(index.cell_count)
+        slots = data.draw(st.one_of(st.just(every), st.lists(st.sampled_from(every),
+                                                             unique=True)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neighbors, "BLOCK_PAIRS", block_pairs)
+            same_blocks(list(index.blocks(slots, radius)),
+                        list(reference_blocks(index, slots, radius)))
+
+    def test_mixed_walk_keeps_cell_and_octant_order(self, rng, monkeypatch):
+        # a dense 1 m cube beside sparse points a few meters off: under a
+        # budget of 64 pairs the sparse cells stay whole, the cube's cells
+        # split by octant, and the octants with many receivers are cut
+        # into row chunks
+        points = np.concatenate([rng.uniform(0, 1, size=(300, 3)),
+                                 rng.uniform(4, 9, size=(6, 3))])
+        radius = 0.5
+        index = build_index(cloud_of(points), radius)
+        monkeypatch.setattr(neighbors, "BLOCK_PAIRS", 64)
+        kinds = set()
+        walked = []
+        for slot in range(index.cell_count):
+            cell = list(index.blocks([slot], radius))
+            whole = index.cell_candidates(slot, radius)
+            if len(cell) == 1 and np.array_equal(cell[0][1], whole):
+                kinds.add("whole")
+            if any(len(cand) < len(whole) for _, cand in cell):
+                kinds.add("split")
+            if any(a[1] is b[1] for a, b in zip(cell, cell[1:])):
+                kinds.add("chunked")
+            walked += cell
+        assert kinds == {"whole", "split", "chunked"}
+        got = list(index.blocks(range(index.cell_count), radius))
+        same_blocks(got, walked)
+        same_blocks(got, list(reference_blocks(index, range(index.cell_count), radius)))

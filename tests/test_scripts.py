@@ -3,7 +3,8 @@
 The scripts import from curbmap, so a name retired from the package
 shows up here as an ImportError. The demo's per-run code runs on a
 thinned street, and the labeled cloud it writes runs through the CLI;
-its grid points run one fresh process each.
+its grid points run one fresh process each. The paired benchmark
+script runs against a stub of perfbench's run, never a real one.
 The package itself imports nothing beyond the standard library and
 numpy, and every function the benchmark's tracer wraps still exists
 where the tracer looks for it.
@@ -108,3 +109,89 @@ def test_demo_points_run_in_fresh_processes(tmp_path, monkeypatch, capfd):
     assert (first["workload"], second["workload"]) == ("street", "survey")
     # in one process the survey would start at the street's high-water mark
     assert second["stage_peak_rss_mb"]["parse"] < first["peak_rss_mb"]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class StubBenchmark:
+    """Stands in for perfbench/run.py: records each run, returns made-up metrics.
+
+    The parent reads pipeline_s 10, 11, 12, ... and peak_rss_mb 50 on its
+    runs in turn; the change reads 1 s less, and peak_rss_mb 49 except on
+    its third run, where it reads 51.
+    """
+
+    def __init__(self, incorrect_at=None):
+        self.calls = []
+        self.incorrect_at = incorrect_at
+
+    def __call__(self, checkout, args):
+        self.calls.append((checkout, list(args)))
+        side = checkout.name
+        k = sum(1 for c, _ in self.calls if c.name == side) - 1
+        pipeline = 10.0 + k - (side == "change")
+        peak = 50.0 if side == "parent" else (51.0 if k == 2 else 49.0)
+        return {"correct": len(self.calls) != self.incorrect_at, "attempted": 3, "failed": 0,
+                "metrics": {"pipeline_s": {"value": pipeline, "unit": "s"},
+                            "peak_rss_mb": {"value": peak, "unit": "MiB"},
+                            "traced_only": {"value": 1.0, "unit": "s"}}}
+
+
+class TestBenchPairs:
+    """scripts/bench_pairs.py over a stubbed benchmark run, no real run."""
+
+    BETTER = {"pipeline_s": "lower", "peak_rss_mb": "lower"}
+
+    def test_alternates_and_summarises(self, tmp_path):
+        bench = load_script("bench_pairs")
+        stub = StubBenchmark()
+        checkouts = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+        record = bench.compare(checkouts, "street", 4, 50.0, 3, self.BETTER, stub)
+        assert [c.name for c, _ in stub.calls] == ["parent", "change", "change", "parent"] * 2
+        assert record["order"] == [["parent", "change"], ["change", "parent"]] * 2
+        assert all(args == ["--workload", "street", "--seconds", "50.0", "--trace", "0",
+                            "--seed", "3"] for _, args in stub.calls)
+        assert record["calls"]["change"] == {"attempted": 12, "failed": 0}
+        pipeline = record["metrics"]["pipeline_s"]
+        assert pipeline["parent"] == {"runs": [10.0, 11.0, 12.0, 13.0], "median": 11.5,
+                                      "q1": 10.75, "q3": 12.25}
+        assert pipeline["change"]["runs"] == [9.0, 10.0, 11.0, 12.0]
+        assert pipeline["change_better_pairs"] == 4
+        assert record["metrics"]["peak_rss_mb"]["change_better_pairs"] == 3
+        # a metric with no direction is summarised but not counted
+        assert "change_better_pairs" not in record["metrics"]["traced_only"]
+
+    def test_refuses_an_incorrect_run(self, tmp_path):
+        bench = load_script("bench_pairs")
+        stub = StubBenchmark(incorrect_at=3)
+        checkouts = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+        with pytest.raises(bench.RunRefused, match="pair 2, change"):
+            bench.compare(checkouts, "survey", 2, 1.0, None, self.BETTER, stub)
+        assert len(stub.calls) == 3
+        assert "--seed" not in stub.calls[0][1]
+
+    def test_main_writes_the_comparison(self, tmp_path, monkeypatch, capsys):
+        bench = load_script("bench_pairs")
+        stub = StubBenchmark()
+        monkeypatch.setattr(bench, "run_benchmark", stub)
+        change = tmp_path / "change"
+        change.mkdir()
+        (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "pipeline_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}))
+        out = tmp_path / "pairs.json"
+        assert bench.main(["--parent", str(tmp_path / "parent"), "--change", str(change),
+                           "--workload", "street", "--pairs", "2", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert record["pairs"] == 2 and record["seconds"] == 50.0
+        assert record["metrics"]["peak_rss_mb"]["change_better_pairs"] == 2
+        assert "pipeline_s: parent 10.5, change 9.5, change better in 2 of 2" in capsys.readouterr().out
+        stub.incorrect_at = len(stub.calls) + 1
+        assert bench.main(["--parent", str(tmp_path / "parent"), "--change", str(change),
+                           "--workload", "street", "--pairs", "1", "--out",
+                           str(tmp_path / "refused.json")]) == 1
+        assert not (tmp_path / "refused.json").exists()
