@@ -6,9 +6,20 @@ Each pair runs `perfbench/run.py --workload W --seconds S --trace 0
 3rd, ...) run the parent first and even pairs the change first, so a
 drift of the host's speed falls on both sides alike. A run whose result
 does not read `correct: true` stops the comparison. The JSON written to
---out holds, for each end-to-end metric, every run's value per side,
-each side's median and quartiles, and in how many pairs the change was
-better, in the direction BENCHMARK.json gives for the metric.
+--out holds, for each metric, every run's value per side and each side's
+median and quartiles. For each end-to-end metric it adds, in the
+direction and against the bound BENCHMARK.json gives for the metric:
+
+- change_better_pairs: in how many pairs the change was better;
+- worse_by: the change's median against the parent's, relative to the
+  parent's median, positive when worse;
+- parent_spread: the parent's quartile distance over its median;
+- bound: the metric's bound, relative to the median;
+- verdict: "worse" if worse_by exceeds the bound; else "unresolved" if
+  parent_spread exceeds it, unless every change run beats every parent
+  run; else "better" if the change wins at least 9 of 10 pairs and its
+  median is better by more than the parent's quartile distance; else
+  "within bound".
 
     python scripts/bench_pairs.py --parent ../parent --change . \\
         --workload street --pairs 10 --seconds 50 --out pairs_street.json
@@ -53,9 +64,34 @@ def summary(values: list[float]) -> dict:
     return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def verdict(parent: dict, change: dict, better: str, bound: float) -> dict:
+    """The change against the parent on one end-to-end metric: see the module docstring."""
+    sign = 1 if better == "lower" else -1   # signed values are better when lower
+    parent_runs = [sign * value for value in parent["runs"]]
+    change_runs = [sign * value for value in change["runs"]]
+    scale = abs(parent["median"]) or 1.0   # a zero median reads as an absolute change
+    spread = parent["q3"] - parent["q1"]
+    gain = sign * (parent["median"] - change["median"])
+    won = sum(c < p for p, c in zip(parent_runs, change_runs))
+    if -gain / scale > bound:
+        outcome = "worse"
+    elif spread / scale > bound and max(change_runs) >= min(parent_runs):
+        outcome = "unresolved"
+    elif 10 * won >= 9 * len(parent_runs) and gain > spread:
+        outcome = "better"
+    else:
+        outcome = "within bound"
+    return {"change_better_pairs": won, "worse_by": -gain / scale,
+            "parent_spread": spread / scale, "bound": bound, "verdict": outcome}
+
+
 def compare(checkouts: dict, workload: str, pairs: int, seconds: float, seed: int | None,
-            better: dict, run) -> dict:
-    """Run `pairs` alternating pairs through run(checkout, args); returns the comparison."""
+            end_to_end: dict, run) -> dict:
+    """Run `pairs` alternating pairs through run(checkout, args); returns the comparison.
+
+    end_to_end maps each end-to-end metric's name to its BENCHMARK.json
+    entry, whose "better" and "bound" the verdict reads.
+    """
     args = ["--workload", workload, "--seconds", repr(seconds), "--trace", "0"]
     if seed is not None:
         args += ["--seed", str(seed)]
@@ -76,10 +112,12 @@ def compare(checkouts: dict, workload: str, pairs: int, seconds: float, seed: in
     metrics = {}
     for name in sorted(set(values["parent"]) & set(values["change"])):
         parent, change = values["parent"][name], values["change"][name]
-        entry = {"better": better.get(name), "parent": summary(parent), "change": summary(change)}
-        if name in better:
-            sign = 1 if better[name] == "lower" else -1
-            entry["change_better_pairs"] = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        spec = end_to_end.get(name, {})
+        entry = {"better": spec.get("better"), "parent": summary(parent),
+                 "change": summary(change)}
+        if spec:
+            entry.update(verdict(entry["parent"], entry["change"], spec["better"],
+                                 spec["bound"]))
         metrics[name] = entry
     return {"workload": workload, "seed": seed, "seconds": seconds, "pairs": pairs,
             "command": ["perfbench/run.py", *args], "order": order, "calls": calls,
@@ -99,19 +137,24 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    end_to_end = {metric["name"]: metric for metric in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     try:
-        record = compare(checkouts, args.workload, args.pairs, args.seconds, args.seed, better,
-                         run_benchmark)
+        record = compare(checkouts, args.workload, args.pairs, args.seconds, args.seed,
+                         end_to_end, run_benchmark)
     except RunRefused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for name, entry in record["metrics"].items():
-        print(f"{name}: parent {entry['parent']['median']:.4g}, "
-              f"change {entry['change']['median']:.4g}, "
-              f"change better in {entry.get('change_better_pairs', '-')} of {args.pairs}")
+        line = (f"{name}: parent {entry['parent']['median']:.4g}, "
+                f"change {entry['change']['median']:.4g}")
+        if "verdict" in entry:
+            line += (f", change better in {entry['change_better_pairs']} of {args.pairs}, "
+                     f"worse by {entry['worse_by']:+.1%}, parent spread "
+                     f"{entry['parent_spread']:.1%}, bound {entry['bound']:.0%}: "
+                     f"{entry['verdict']}")
+        print(line)
     return 0
 
 

@@ -21,13 +21,13 @@ are checked with numpy, every token of the chunk goes through one
 map(float, ...) (Python's float spellings, nan and 1_0 included) and a
 numpy mask drops the rows with a non-finite coordinate.
 
-The writer emits the bytes repr would give for every float, the
-shortest text that reads back to the same value, without calling repr:
-per chunk of rows, _shortest_digits runs the Schubfach algorithm on the
-whole chunk in uint64 arithmetic, and _float_text lays the digits out in
-repr's notation by gathering each value's ASCII bytes through a table of
-layouts. tests/oracles.py keeps the one-repr-per-value writer as the
-reference.
+Both writers, cloud_chunks and dem.dem_chunks, hand each chunk of rows
+to _float_text, which emits the bytes repr would give for every float
+without calling repr: _shortest_digits runs the Schubfach algorithm on
+the whole chunk in uint64 arithmetic, and _float_text lays the digits
+out in repr's notation by gathering each value's ASCII bytes through a
+table of layouts. tests/oracles.py keeps the one-repr-per-value writer
+as the reference.
 """
 
 from __future__ import annotations
@@ -261,9 +261,7 @@ def _parse_xyz(lines: Iterator[str]):
 
 
 def _parse_pcd(lines: Iterator[str]):
-    header: dict[str, list[str]] = {}
-    header_lines: dict[str, int] = {}
-    data_start = None
+    header: dict[str, tuple[int, list[str]]] = {}  # keyword -> (its line, its values)
     lineno = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -275,48 +273,44 @@ def _parse_pcd(lines: Iterator[str]):
             raise ParseError(f"unexpected header keyword {key!r}", line=lineno)
         if key in header:
             raise ParseError(f"repeated header keyword {key!r}", line=lineno)
-        header[key] = rest.split()
-        header_lines[key] = lineno
+        header[key] = lineno, rest.split()
         if key == "DATA":
             if rest.strip().lower() != "ascii":
                 raise ParseError(f"only DATA ascii is supported, got {rest!r}", line=lineno)
-            data_start = lineno
             break
-    if data_start is None:
+    if "DATA" not in header:
         raise ParseError("missing DATA line", line=lineno)
+    data_start = header["DATA"][0]
     for required in ("FIELDS", "POINTS"):
         if required not in header:
             raise ParseError(f"missing {required} header", line=data_start)
 
-    fields = header["FIELDS"]
+    def integer(key: str) -> int:
+        at, values = header[key]
+        try:
+            return int(values[0])
+        except (ValueError, IndexError):
+            raise ParseError(f"{key} must be an integer", line=at) from None
+
+    at, fields = header["FIELDS"]
     if fields[:3] != ["x", "y", "z"]:
-        raise ParseError(f"FIELDS must start with x y z, got {fields}", line=data_start)
+        raise ParseError(f"FIELDS must start with x y z, got {fields}", line=at)
     if len(set(fields)) != len(fields):
-        raise ParseError(f"FIELDS repeats a name: {fields}", line=header_lines["FIELDS"])
-    for key in ("SIZE", "TYPE", "COUNT"):
-        if key in header and len(header[key]) != len(fields):
-            raise ParseError(
-                f"{key} lists {len(header[key])} entries for {len(fields)} FIELDS",
-                line=header_lines[key])
-    counts = header.get("COUNT", ["1"] * len(fields))
+        raise ParseError(f"FIELDS repeats a name: {fields}", line=at)
+    for key, (at, values) in header.items():
+        if key in ("SIZE", "TYPE", "COUNT") and len(values) != len(fields):
+            raise ParseError(f"{key} lists {len(values)} entries for {len(fields)} FIELDS",
+                             line=at)
+    at, counts = header.get("COUNT", (0, []))
     if any(c != "1" for c in counts):
-        raise ParseError("multi-count fields are not supported", line=data_start)
-    try:
-        declared = int(header["POINTS"][0])
-    except (ValueError, IndexError):
-        raise ParseError("POINTS must be an integer", line=data_start) from None
+        raise ParseError("multi-count fields are not supported", line=at)
+    declared = integer("POINTS")
     if "WIDTH" in header and "HEIGHT" in header:
-        shape = []
-        for key in ("WIDTH", "HEIGHT"):
-            try:
-                shape.append(int(header[key][0]))
-            except (ValueError, IndexError):
-                raise ParseError(f"{key} must be an integer", line=header_lines[key]) from None
-        width, height = shape
+        width, height = integer("WIDTH"), integer("HEIGHT")
         if width * height != declared:
             raise ParseError(
                 f"WIDTH {width} x HEIGHT {height} does not equal POINTS {declared}",
-                line=header_lines["POINTS"])
+                line=header["POINTS"][0])
 
     cloud, summary = _parse_data(_data_lines(lines, data_start, skip_comments=False),
                                  len(fields), fields[3:])
@@ -480,7 +474,15 @@ _LENGTHS = np.count_nonzero(_LAYOUTS != _UNUSED, axis=1)
 
 
 def _float_text(values: np.ndarray, ncols: int) -> bytes:
-    """ASCII text of row-major float64 values, ncols per row, as repr spells them."""
+    """ASCII text of row-major float64 values, ncols per row, as repr spells them.
+
+    Each value reads as repr of a Python float: the shortest digits that
+    read back to the same double, in exponent notation below 1e-4 and from
+    1e16 on, in fixed notation otherwise; "inf", "-inf" and "nan" (no
+    sign) for the special values. Values are separated by one space and
+    each row ends in a newline. This is the float text of both writers,
+    cloud_chunks and dem.dem_chunks.
+    """
     bits = values.view(np.uint64)
     neg = (bits >> 63).astype(np.int64)
     magnitude = bits & 0x7FFFFFFFFFFFFFFF
@@ -518,31 +520,16 @@ def _float_text(values: np.ndarray, ncols: int) -> bytes:
     return letters.ravel().take(index).tobytes()
 
 
-def format_float_rows(columns) -> Iterator[bytes]:
-    """ASCII text of equal-length float columns, one line per row, in row chunks.
-
-    Each value is written as repr of a Python float writes it: the
-    shortest digits that read back to the same double, in exponent
-    notation below 1e-4 and from 1e16 on, in fixed notation otherwise;
-    "inf", "-inf" and "nan" (no sign) for the special values. Values are
-    separated by one space and each row ends in a newline. This is the
-    float-text format of cloud files; dem.dem_chunks writes the DEM's
-    rows with _float_text itself. A chunk holds up to _CHUNK_ROWS rows.
-    """
-    for a in range(0, len(columns[0]), _CHUNK_ROWS):
-        chunk = np.stack([col[a:a + _CHUNK_ROWS] for col in columns], axis=1)
-        yield _float_text(chunk.astype(np.float64, copy=False).ravel(), len(columns))
-
-
 def cloud_chunks(cloud: PointCloud, fmt: str) -> Iterator[bytes]:
     """PCD or XYZ text of a cloud in chunks: the PCD header, then row chunks.
 
-    Channels become extra columns, written with full round-trip
-    precision by format_float_rows. The format and the PCD channel names
-    are checked before the first chunk is yielded. A PCD channel name
-    must be a non-empty word without whitespace other than x, y and z,
-    since it becomes one entry of the FIELDS line and the reader refuses
-    a repeated field.
+    Channels become extra columns. Each chunk stacks up to _CHUNK_ROWS
+    rows of the columns and writes them with _float_text, so every value
+    reads back exactly. The format and the PCD channel names are checked
+    before the first chunk is yielded. A PCD channel name must be a
+    non-empty word without whitespace other than x, y and z, since it
+    becomes one entry of the FIELDS line and the reader refuses a
+    repeated field.
     """
     fmt = fmt.lower()
     if fmt not in ("pcd", "xyz"):
@@ -566,7 +553,10 @@ def cloud_chunks(cloud: PointCloud, fmt: str) -> Iterator[bytes]:
             f"POINTS {len(cloud)}",
             "DATA ascii\n",
         ]).encode()
-    yield from format_float_rows([*cloud.points.T, *cloud.channels.values()])
+    columns = [*cloud.points.T, *cloud.channels.values()]
+    for a in range(0, len(cloud), _CHUNK_ROWS):
+        chunk = np.stack([column[a:a + _CHUNK_ROWS] for column in columns], axis=1)
+        yield _float_text(chunk.ravel(), len(columns))
 
 
 def write_cloud(cloud: PointCloud, fmt: str) -> bytes:

@@ -109,6 +109,8 @@ def parse_config(text: str, overrides: dict[str, dict[str, str]] | None = None) 
             values.update(given)
     if values.get("input_format", "xyz").lower() not in ("pcd", "xyz"):
         raise ValueError(f"[cloud] format: expected pcd or xyz, got {values['input_format']!r}")
+    if values.get("threads", 1) < 1:
+        raise ValueError(f"[run] threads: expected at least 1, got {values['threads']}")
     return PipelineConfig(**values)
 
 

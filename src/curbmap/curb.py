@@ -42,6 +42,8 @@ class CurbParams:
             raise ValueError("plate_threshold must be positive")
         if not self.height_ceiling > 0:
             raise ValueError("height_ceiling must be positive")
+        if not self.height_floor <= self.height_ceiling:
+            raise ValueError("height_floor must not exceed height_ceiling")
         if not 0 < self.outlier_radius < math.inf:
             raise ValueError("outlier_radius must be positive and finite")
         if not self.outlier_min_neighbors > 0:

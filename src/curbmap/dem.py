@@ -312,9 +312,9 @@ def dem_chunks(dem: DemGrid) -> Iterator[bytes]:
     yield "\n".join([
         f"ncols {ncols}",
         f"nrows {nrows}",
-        f"xllcorner {dem.origin[0]!r}",
-        f"yllcorner {dem.origin[1]!r}",
-        f"cellsize {dem.cell!r}",
+        f"xllcorner {float(dem.origin[0])!r}",
+        f"yllcorner {float(dem.origin[1])!r}",
+        f"cellsize {float(dem.cell)!r}",
         f"NODATA_value {NODATA!r}",
         "",
     ]).encode()

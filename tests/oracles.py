@@ -12,8 +12,8 @@ only shared primitive is np.add.reduceat, whose per-segment reduction
 is the pipeline's documented deterministic summation.
 
 The text cloud reader and writer here are the row-by-row and
-value-by-value forms of `parse_cloud`, `write_cloud` and
-`format_float_rows`: one Python float conversion per token, one repr
+value-by-value forms of `parse_cloud`, `write_cloud` and the float text
+kernel `_float_text`: one Python float conversion per token, one repr
 per value. The vectorised library paths must match them byte for byte
 and error for error.
 """
@@ -363,7 +363,7 @@ def reference_parse_cloud(source, fmt: str):
         rows, rejected, total, width = _reference_rows(lines, 0, None, skip_comments=True)
         return _reference_assemble(rows, [f"extra{k}" for k in range((width or 3) - 3)],
                                    rejected, total)
-    header, data_start = {}, None
+    header, data_start = {}, None   # keyword -> (its line, its values)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -372,7 +372,7 @@ def reference_parse_cloud(source, fmt: str):
         key, rest = key.upper(), "".join(rest)
         if key not in _PCD_KEYWORDS:
             raise ParseError(f"unexpected header keyword {key!r}", line=lineno)
-        header[key] = rest.split()
+        header[key] = lineno, rest.split()
         if key == "DATA":
             if rest.strip().lower() != "ascii":
                 raise ParseError(f"only DATA ascii is supported, got {rest!r}", line=lineno)
@@ -383,15 +383,17 @@ def reference_parse_cloud(source, fmt: str):
     for required in ("FIELDS", "POINTS"):
         if required not in header:
             raise ParseError(f"missing {required} header", line=data_start)
-    fields = header["FIELDS"]
+    fields_line, fields = header["FIELDS"]
     if fields[:3] != ["x", "y", "z"]:
-        raise ParseError(f"FIELDS must start with x y z, got {fields}", line=data_start)
-    if any(c != "1" for c in header.get("COUNT", [])):
-        raise ParseError("multi-count fields are not supported", line=data_start)
+        raise ParseError(f"FIELDS must start with x y z, got {fields}", line=fields_line)
+    count_line, counts = header.get("COUNT", (None, []))
+    if any(c != "1" for c in counts):
+        raise ParseError("multi-count fields are not supported", line=count_line)
+    points_line, points = header["POINTS"]
     try:
-        declared = int(header["POINTS"][0])
+        declared = int(points[0])
     except (ValueError, IndexError):
-        raise ParseError("POINTS must be an integer", line=data_start) from None
+        raise ParseError("POINTS must be an integer", line=points_line) from None
     rows, rejected, total, _ = _reference_rows(lines, data_start, len(fields),
                                                skip_comments=False)
     if total != declared:
@@ -433,8 +435,8 @@ def _reference_assemble(rows, extra_names, rejected, total):
     return PointCloud(data[:, :3], channels), ParseSummary(total, rejected)
 
 
-def reference_format_float_rows(columns) -> bytes:
-    """Value-by-value float text: the reference for `format_float_rows`.
+def reference_float_rows(columns) -> bytes:
+    """Value-by-value float text: the reference for `_float_text`.
 
     Every value is written as repr(float(value)), values joined by one
     space, rows ended by a newline.
@@ -447,13 +449,13 @@ def reference_format_float_rows(columns) -> bytes:
 def reference_write_cloud(cloud: PointCloud, fmt: str) -> bytes:
     """Value-by-value text writer: the reference for `write_cloud`.
 
-    The body is `reference_format_float_rows` of x, y, z and the
+    The body is `reference_float_rows` of x, y, z and the
     channels; PCD adds the fixed 10-line header.
     """
     names = list(cloud.channels)
     columns = [cloud.points[:, 0], cloud.points[:, 1], cloud.points[:, 2]]
     columns += [cloud.channels[name] for name in names]
-    body = reference_format_float_rows(columns)
+    body = reference_float_rows(columns)
     if fmt == "xyz":
         return body
     n_fields = 3 + len(names)

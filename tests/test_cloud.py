@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_format_float_rows, reference_parse_cloud, reference_write_cloud
+from oracles import reference_float_rows, reference_parse_cloud, reference_write_cloud
 
 from curbmap import (ChannelMissingError, CropBox, ParseError, PointCloud, crop,
                      parse_cloud, write_cloud)
 from curbmap import cloud as cloud_module
-from curbmap.cloud import cloud_chunks, format_float_rows
+from curbmap.cloud import _float_text, cloud_chunks
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -98,6 +98,18 @@ class TestParsePcd:
             parse_cloud(PCD_3PT.replace(good, bad), "pcd")
         assert err.value.line == line
         assert key in str(err.value)
+
+    @pytest.mark.parametrize("good, bad, line, message", [
+        ("POINTS 3", "POINTS x", 9, "POINTS must be an integer"),
+        ("WIDTH 3", "WIDTH q", 6, "WIDTH must be an integer"),
+        ("HEIGHT 1", "HEIGHT", 7, "HEIGHT must be an integer"),
+        ("FIELDS x y z", "FIELDS y x z", 2, "FIELDS must start with x y z"),
+        ("COUNT 1 1 1 1", "COUNT 1 1 1 2", 5, "multi-count fields are not supported"),
+    ])
+    def test_header_error_names_keyword_line(self, good, bad, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_cloud(PCD_3PT.replace(good, bad), "pcd")
+        assert err.value.line == line
 
     def test_width_times_height_must_equal_points(self):
         with pytest.raises(ParseError) as err:
@@ -346,11 +358,10 @@ any_double = st.one_of(st.integers(0, 2**64 - 1).map(bits_to_double), st.floats(
 
 
 def assert_matches_repr(values, ncols):
-    """format_float_rows of values in rows of ncols against one repr per value."""
-    values = np.asarray(values, dtype=np.float64)
-    columns = list(values[:len(values) // ncols * ncols].reshape(-1, ncols).T)
-    got = b"".join(format_float_rows(columns)).split(b"\n")
-    want = reference_format_float_rows(columns).split(b"\n")
+    """_float_text of values in rows of ncols against one repr per value."""
+    values = np.asarray(values, dtype=np.float64)[:len(values) // ncols * ncols]
+    got = _float_text(values, ncols).split(b"\n")
+    want = reference_float_rows(list(values.reshape(-1, ncols).T)).split(b"\n")
     assert len(got) == len(want)
     assert [(g, w) for g, w in zip(got, want) if g != w][:3] == []
 
@@ -374,12 +385,11 @@ def float_text_sweep() -> np.ndarray:
 class TestFloatText:
     """The shortest round-trip float kernel against repr, value by value."""
 
-    @given(st.integers(1, 13), st.data(), chunk_rows)
+    @given(st.integers(1, 13), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_repr_property(self, ncols, data, chunk):
+    def test_matches_repr_property(self, ncols, data):
         values = data.draw(st.lists(any_double, min_size=ncols, max_size=12 * ncols))
-        with mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk):
-            assert_matches_repr(values, ncols)
+        assert_matches_repr(values, ncols)
 
     @pytest.mark.parametrize("ncols", [1, 7])
     def test_matches_repr_sweep(self, ncols):
@@ -390,8 +400,9 @@ class TestFloatText:
         assert_matches_repr(bits.view(np.float64), 5)
 
     def test_yields_ascii_bytes(self):
-        chunks = list(format_float_rows([np.array([1.5, -2.0]), np.array([np.nan, 1e300])]))
-        assert chunks == [b"1.5 nan\n-2.0 1e+300\n"]
+        cloud = make_cloud([[1.5, 0.0, -0.0], [-2.0, 1e-05, 1e300]], c=[np.nan, -np.inf])
+        chunks = list(cloud_chunks(cloud, "xyz"))
+        assert chunks == [b"1.5 0.0 -0.0 nan\n-2.0 1e-05 1e+300 -inf\n"]
 
 
 HEADER_WORDS = ["VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH", "HEIGHT",

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from curbmap import PipelineConfig, default_config_text, parse_config
-from curbmap.cli import _build_parser, _merge_config
+from curbmap.cli import _build_parser, _merge_config, main
 from curbmap.cloud import CropBox
 from curbmap.config import config_sections, parse_crop
 from curbmap.curb import CurbParams
@@ -110,6 +110,28 @@ class TestPartialFiles:
         # infinite one would give NaN cell counts
         with pytest.raises(ValueError, match=rf"{key} must be positive and finite"):
             parse_config(f"[{section}]\n{key} = {text}\n")
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, threads, capsys):
+        # the vote would quietly run on one thread
+        message = rf"\[run\] threads: expected at least 1, got {threads}"
+        with pytest.raises(ValueError, match=message):
+            parse_config(f"[run]\nthreads = {threads}\n")
+        with pytest.raises(ValueError, match=message):
+            _merge_config(_build_parser().parse_args([f"--threads={threads}"]))
+        assert main([f"--threads={threads}"]) == 1
+        assert "threads: expected at least 1" in capsys.readouterr().err
+
+    def test_height_floor_above_ceiling_rejected(self, tmp_path, capsys):
+        # the height gate would keep no point
+        for floor in (0.2, float("nan")):
+            with pytest.raises(ValueError, match="height_floor must not exceed height_ceiling"):
+                CurbParams(height_floor=floor, height_ceiling=0.1)
+        assert CurbParams(height_floor=0.5).height_floor == 0.5
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[curb]\nheight_floor = 0.9\n")
+        assert main(["--config", str(cfg)]) == 1
+        assert "height_floor must not exceed height_ceiling" in capsys.readouterr().err
 
     def test_format_any_case(self):
         assert parse_config("[cloud]\nformat = PCD\n").input_format == "PCD"

@@ -10,12 +10,11 @@ from curbmap import (ChannelMissingError, CurbmapError, DemGrid, EmptyInputError
                      PointCloud, VotingParams, build_height_grid,
                      extract_ground_candidates, ground_heights, ground_model,
                      refine_dem, saliency_field, to_ascii_grid)
-from curbmap.cloud import format_float_rows
 from curbmap.dem import NODATA
 from curbmap.pipeline import _write
 from curbmap.scene import _sample_grid
 
-from oracles import bin_cells, reference_median_grid, reference_refine_dem
+from oracles import bin_cells, reference_float_rows, reference_median_grid, reference_refine_dem
 
 
 def field_of_plane(rng, tilt_deg=0.0, half=1.5, density=400.0):
@@ -362,6 +361,16 @@ class TestAsciiExport:
         assert rows.startswith("-7e-07 12.345678901234567 -9999.0 -0.0\n")
         assert to_ascii_grid(grid) == (header + rows).encode()
 
+    def test_numpy_scalar_header_reads_as_python_floats(self):
+        # numpy 2 reprs a scalar as np.float64(1.5)
+        heights = np.array([[0.5, NODATA]])
+        valid = heights != NODATA
+        floats = DemGrid((1.5, -2.0), 0.5, heights, valid.astype(np.int64), valid)
+        scalars = DemGrid(tuple(np.array([1.5, -2.0])), np.float64(0.5), heights,
+                          valid.astype(np.int64), valid)
+        assert to_ascii_grid(scalars) == to_ascii_grid(floats)
+        assert b"xllcorner 1.5\nyllcorner -2.0\ncellsize 0.5\n" in to_ascii_grid(scalars)
+
     @pytest.mark.parametrize("budget", [1, 4, 7, 8, 12, 1 << 16])
     def test_row_chunks_join_to_whole_rows(self, rng, monkeypatch, budget):
         heights = rng.normal(0.0, 3.0, (5, 4))
@@ -393,7 +402,7 @@ class TestAsciiExport:
             tracemalloc.stop()
         # the joined text twice, plus one row chunk's working set
         assert peak < 8 * len(text)   # reads about 5x; 32x in 512-row chunks
-        assert text.endswith(b"".join(format_float_rows(list(heights[::-1].T))))
+        assert text.endswith(reference_float_rows(list(heights[::-1].T)))
 
     def test_written_peak_does_not_grow_with_rows(self, rng, tmp_path):
         # the pipeline writes the chunks as they come, so the written text

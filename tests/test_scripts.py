@@ -145,13 +145,14 @@ class StubBenchmark:
 class TestBenchPairs:
     """scripts/bench_pairs.py over a stubbed benchmark run, no real run."""
 
-    BETTER = {"pipeline_s": "lower", "peak_rss_mb": "lower"}
+    END_TO_END = {"pipeline_s": {"better": "lower", "bound": 0.25},
+                  "peak_rss_mb": {"better": "lower", "bound": 0.2}}
 
     def test_alternates_and_summarises(self, tmp_path):
         bench = load_script("bench_pairs")
         stub = StubBenchmark()
         checkouts = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-        record = bench.compare(checkouts, "street", 4, 50.0, 3, self.BETTER, stub)
+        record = bench.compare(checkouts, "street", 4, 50.0, 3, self.END_TO_END, stub)
         assert [c.name for c, _ in stub.calls] == ["parent", "change", "change", "parent"] * 2
         assert record["order"] == [["parent", "change"], ["change", "parent"]] * 2
         assert all(args == ["--workload", "street", "--seconds", "50.0", "--trace", "0",
@@ -165,13 +166,45 @@ class TestBenchPairs:
         assert record["metrics"]["peak_rss_mb"]["change_better_pairs"] == 3
         # a metric with no direction is summarised but not counted
         assert "change_better_pairs" not in record["metrics"]["traced_only"]
+        assert "verdict" not in record["metrics"]["traced_only"]
+
+    @pytest.mark.parametrize("parent, change, verdict", [
+        # the median 30% worse, beyond the 25% bound
+        ([10.0] * 10, [13.0] * 10, "worse"),
+        # the parent's quartiles 7 and 13 spread 60% of its median
+        ([7.0, 13.0] * 5, [10.0] * 10, "unresolved"),
+        # the same spread, but every change run beats every parent run
+        ([7.0, 13.0] * 5, [6.0] * 10, "within bound"),
+        # 9 of 10 pairs won, medians 1.1 apart against a spread of 0.2
+        ([10.0, 10.2] * 5, [9.0] * 9 + [10.5], "better"),
+        # 5 of 10 pairs won
+        ([10.0, 10.2] * 5, [10.1] * 10, "within bound"),
+    ])
+    def test_verdict_per_metric(self, tmp_path, parent, change, verdict):
+        bench = load_script("bench_pairs")
+        series = {"parent": iter(parent), "change": iter(change)}
+
+        def run(checkout, args):
+            value = next(series[checkout.name])
+            return {"correct": True, "attempted": 1, "failed": 0,
+                    "metrics": {"pipeline_s": {"value": value, "unit": "s"}}}
+
+        checkouts = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+        entry = bench.compare(checkouts, "street", 10, 50.0, None, self.END_TO_END,
+                              run)["metrics"]["pipeline_s"]
+        assert entry["verdict"] == verdict
+        assert entry["bound"] == 0.25
+        median = entry["parent"]["median"]
+        assert entry["worse_by"] == pytest.approx((entry["change"]["median"] - median) / median)
+        assert entry["parent_spread"] == pytest.approx(
+            (entry["parent"]["q3"] - entry["parent"]["q1"]) / median)
 
     def test_refuses_an_incorrect_run(self, tmp_path):
         bench = load_script("bench_pairs")
         stub = StubBenchmark(incorrect_at=3)
         checkouts = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
         with pytest.raises(bench.RunRefused, match="pair 2, change"):
-            bench.compare(checkouts, "survey", 2, 1.0, None, self.BETTER, stub)
+            bench.compare(checkouts, "survey", 2, 1.0, None, self.END_TO_END, stub)
         assert len(stub.calls) == 3
         assert "--seed" not in stub.calls[0][1]
 
@@ -182,14 +215,15 @@ class TestBenchPairs:
         change = tmp_path / "change"
         change.mkdir()
         (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-            {"name": "pipeline_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}))
+            {"name": name, **spec} for name, spec in self.END_TO_END.items()]}))
         out = tmp_path / "pairs.json"
         assert bench.main(["--parent", str(tmp_path / "parent"), "--change", str(change),
                            "--workload", "street", "--pairs", "2", "--out", str(out)]) == 0
         record = json.loads(out.read_text())
         assert record["pairs"] == 2 and record["seconds"] == 50.0
         assert record["metrics"]["peak_rss_mb"]["change_better_pairs"] == 2
-        assert "pipeline_s: parent 10.5, change 9.5, change better in 2 of 2" in capsys.readouterr().out
+        assert ("pipeline_s: parent 10.5, change 9.5, change better in 2 of 2, worse by -9.5%, "
+                "parent spread 4.8%, bound 25%: better") in capsys.readouterr().out
         stub.incorrect_at = len(stub.calls) + 1
         assert bench.main(["--parent", str(tmp_path / "parent"), "--change", str(change),
                            "--workload", "street", "--pairs", "1", "--out",
