@@ -33,6 +33,10 @@ class PipelineConfig:
     out_raster: str = ""
     out_grid: str = ""
 
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"[run] threads: expected at least 1, got {self.threads}")
+
 
 # Section -> the PipelineConfig field whose parameter class supplies the
 # keys, or an explicit {key: PipelineConfig field} map. Order is file order.
@@ -109,8 +113,6 @@ def parse_config(text: str, overrides: dict[str, dict[str, str]] | None = None) 
             values.update(given)
     if values.get("input_format", "xyz").lower() not in ("pcd", "xyz"):
         raise ValueError(f"[cloud] format: expected pcd or xyz, got {values['input_format']!r}")
-    if values.get("threads", 1) < 1:
-        raise ValueError(f"[run] threads: expected at least 1, got {values['threads']}")
     return PipelineConfig(**values)
 
 

@@ -65,7 +65,7 @@ class GroundParams:
 
 @dataclass
 class DemGrid:
-    """2D height field: per-cell height estimate, sample count, validity.
+    """2D height field: per-cell height estimate and validity, 9 bytes a cell.
 
     heights[row, col] covers x in [x0 + col*cell, x0 + (col+1)*cell) and
     y likewise with rows. Invalid cells hold NODATA.
@@ -74,7 +74,6 @@ class DemGrid:
     origin: tuple[float, float]
     cell: float
     heights: np.ndarray
-    counts: np.ndarray
     valid: np.ndarray
 
     @property
@@ -150,20 +149,18 @@ def occupied_cells(xy: np.ndarray, origin, cell: float):
     return (nrows, ncols), cells, np.searchsorted(cells, keys)
 
 
-def _median_grid(xy, values, weights, origin, cell: float):
-    """Per-cell lower median of values; returns (heights, counts, valid).
+def _median_grid(xy, values, origin, cell: float, min_count: int):
+    """Per-cell lower median of values; returns (heights, valid).
 
     The lower median is the ceil(n/2)-th order statistic: the ordinary
-    median for odd counts, the lower of the two middle samples for even
-    counts. Height pollution (canopy, vehicle roofs) is one-sided above
-    the ground, and a midpoint between the ground mode and an elevated
-    mode would be a fictitious height no sample supports.
+    median of an odd number of values, the lower of the two middle ones
+    of an even number. Height pollution (canopy, vehicle roofs) is
+    one-sided above the ground, and a midpoint between the ground mode
+    and an elevated mode would be a fictitious height no sample supports.
 
-    weights carries a sample count per value (the subcell population
-    when aggregating a finer grid); counts is its per-cell sum. None
-    counts each value once, as raw points do, without a weight array.
-    A cell is valid when it holds at least one value. Raises
-    CurbmapError when the grid is too large (see grid_shape).
+    A cell is valid when it holds at least min_count values; every
+    other cell holds NODATA. Raises CurbmapError when the grid is too
+    large (see grid_shape).
     """
     shape, cells, slot = occupied_cells(xy, origin, cell)
     # lexsort copies both keys when one is strided, so hand it a
@@ -171,29 +168,29 @@ def _median_grid(xy, values, weights, origin, cell: float):
     order = np.lexsort((np.ascontiguousarray(values), slot))
     sizes = np.bincount(slot)
     del slot
-    starts = np.cumsum(sizes) - sizes
+    middle = np.cumsum(sizes) - sizes + (sizes - 1) // 2   # each lower median's place in order
+    enough = sizes >= min_count
+    cells, middle = cells[enough], middle[enough]
     heights = np.full(shape, NODATA)
-    counts = np.zeros(shape, dtype=np.int64)
-    heights.flat[cells] = values[order[starts + (sizes - 1) // 2]]
-    counts.flat[cells] = sizes if weights is None else np.add.reduceat(weights[order], starts)
-    return heights, counts, counts > 0
+    valid = np.zeros(shape, dtype=bool)
+    heights.flat[cells] = values[order[middle]]
+    valid.flat[cells] = True
+    return heights, valid
 
 
 def build_height_grid(points: np.ndarray, cell: float, min_samples: int = 3) -> DemGrid:
     """Height grid over candidate ground points, lower median z per cell.
 
-    Cells with fewer than min_samples points are marked invalid. The
-    origin is the candidates' min corner snapped to the cell size, so
-    identical clouds always produce identical grids.
+    Cells with fewer than min_samples points are invalid and hold
+    NODATA. The origin is the candidates' min corner snapped to the cell
+    size, so identical clouds always produce identical grids.
     """
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         raise EmptyInputError("no ground candidate points")
     origin = snapped_origin(points, cell)
-    heights, counts, _ = _median_grid(points[:, :2], points[:, 2], None, origin, cell)
-    valid = counts >= min_samples
-    heights[~valid] = NODATA
-    return DemGrid(origin, float(cell), heights, counts, valid)
+    heights, valid = _median_grid(points[:, :2], points[:, 2], origin, cell, min_samples)
+    return DemGrid(origin, float(cell), heights, valid)
 
 
 # 3x3 interpolation kernel: edge neighbors weigh twice the diagonals.
@@ -222,10 +219,9 @@ def refine_dem(height_grid: DemGrid, coarse_cell: float = 10.0,
         y0 + (rows + 0.5) * height_grid.cell,
     ])
     values = height_grid.heights[rows, cols]
-    weights = height_grid.counts[rows, cols]
 
-    ref_h, ref_n, ref_valid = _median_grid(centers, values, weights, (x0, y0), refined_cell)
-    coarse_h, _, coarse_valid = _median_grid(centers, values, weights, (x0, y0), coarse_cell)
+    ref_h, ref_valid = _median_grid(centers, values, (x0, y0), refined_cell, 1)
+    coarse_h, coarse_valid = _median_grid(centers, values, (x0, y0), coarse_cell, 1)
 
     # coarse height per refined cell, via the refined cell's center
     ccol = np.floor((x0 + (np.arange(ref_h.shape[1]) + 0.5) * refined_cell - x0)
@@ -239,31 +235,28 @@ def refine_dem(height_grid: DemGrid, coarse_cell: float = 10.0,
 
     consistent = ref_valid & coarse_ok & (np.abs(ref_h - coarse_of) <= consistency)
     out_h = np.where(consistent, ref_h, NODATA)
-    out_n = np.where(consistent, ref_n, 0)
     out_valid = consistent.copy()
 
     # refill the invalidated cells from their consistent neighbors, summed
     # in _NEIGHBOR_OFFSETS order; the padding border is never consistent
     fill_r, fill_c = np.nonzero(ref_valid & ~consistent)
-    ok_p, h_p, n_p = (np.pad(a, 1) for a in (consistent, ref_h, ref_n))
+    ok_p, h_p = np.pad(consistent, 1), np.pad(ref_h, 1)
     acc = wsum = 0.0
-    nn = count_sum = 0
+    nn = 0
     for (dr, dc), w in zip(_NEIGHBOR_OFFSETS, _NEIGHBOR_WEIGHTS):
         at = (fill_r + 1 + dr, fill_c + 1 + dc)
         ok = ok_p[at]
         acc = acc + np.where(ok, w * h_p[at], 0.0)
         wsum = wsum + np.where(ok, w, 0.0)
         nn = nn + ok
-        count_sum = count_sum + np.where(ok, n_p[at], 0)
     with np.errstate(invalid="ignore"):
         filled = acc / wsum   # NaN where no neighbor is consistent
     keep = ((nn >= 2) & coarse_ok[fill_r, fill_c]
             & (np.abs(filled - coarse_of[fill_r, fill_c]) <= consistency))
     fill_r, fill_c = fill_r[keep], fill_c[keep]
     out_h[fill_r, fill_c] = filled[keep]
-    out_n[fill_r, fill_c] = count_sum[keep]
     out_valid[fill_r, fill_c] = True
-    return DemGrid((x0, y0), float(refined_cell), out_h, out_n, out_valid)
+    return DemGrid((x0, y0), float(refined_cell), out_h, out_valid)
 
 
 def ground_model(cloud: PointCloud, params: GroundParams) -> tuple[np.ndarray, DemGrid]:

@@ -160,6 +160,8 @@ def sparse_vote(
     vote_max_block_pairs over `index.blocks`, each batch summing its
     own blocks, so they read the same at every thread count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     n = len(cloud)
     if n == 0:
         raise EmptyInputError("cannot vote over an empty cloud")
@@ -181,7 +183,7 @@ def sparse_vote(
 
     slots = range(index.cell_count)
     batches = [slots[a:a + CELL_BATCH] for a in range(0, index.cell_count, CELL_BATCH)]
-    if threads <= 1:
+    if threads == 1:
         tallies = [vote_cells(batch) for batch in batches]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

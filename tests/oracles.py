@@ -225,26 +225,28 @@ def bin_cells(xy, origin, cell: float):
     return row, col
 
 
-def reference_median_grid(xy, values, weights, origin, cell: float):
+def reference_median_grid(xy, values, origin, cell: float, min_count: int):
     """One cell at a time: the reference for `dem._median_grid`.
 
-    Returns (heights, counts, valid) with the same meaning: each cell's
-    ceil(n/2)-th smallest value (NODATA when empty), the sum of its
-    weights, and whether it holds a value.
+    Returns (heights, valid) with the same meaning: each cell's
+    ceil(n/2)-th smallest value when it holds at least min_count values
+    (NODATA otherwise), and whether it does.
     """
     col = np.floor((xy[:, 0] - origin[0]) / cell).astype(np.int64)
     row = np.floor((xy[:, 1] - origin[1]) / cell).astype(np.int64)
     nrows, ncols = int(row.max()) + 1, int(col.max()) + 1
     heights = np.full((nrows, ncols), NODATA)
-    counts = np.zeros((nrows, ncols), dtype=np.int64)
+    valid = np.zeros((nrows, ncols), dtype=bool)
     key = row * ncols + col
     order = np.argsort(key, kind="stable")
     for seg in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        if len(seg) < min_count:
+            continue
         r, c = int(row[seg[0]]), int(col[seg[0]])
         k = (len(seg) - 1) // 2
         heights[r, c] = float(np.partition(values[seg], k)[k])
-        counts[r, c] = int(weights[seg].sum())
-    return heights, counts, counts > 0
+        valid[r, c] = True
+    return heights, valid
 
 
 # 3x3 interpolation kernel of `dem.refine_dem`, in its summation order.
@@ -273,11 +275,8 @@ def reference_refine_dem(height_grid: DemGrid, coarse_cell: float, refined_cell:
         y0 + (rows + 0.5) * height_grid.cell,
     ])
     values = height_grid.heights[rows, cols]
-    weights = height_grid.counts[rows, cols]
-    ref_h, ref_n, ref_valid = reference_median_grid(centers, values, weights, (x0, y0),
-                                                    refined_cell)
-    coarse_h, _, coarse_valid = reference_median_grid(centers, values, weights, (x0, y0),
-                                                      coarse_cell)
+    ref_h, ref_valid = reference_median_grid(centers, values, (x0, y0), refined_cell, 1)
+    coarse_h, coarse_valid = reference_median_grid(centers, values, (x0, y0), coarse_cell, 1)
     nrows, ncols = ref_h.shape
     ry, rx = np.mgrid[0:nrows, 0:ncols]
     ccol = np.floor((x0 + (rx + 0.5) * refined_cell - x0) / coarse_cell).astype(np.int64)
@@ -289,25 +288,22 @@ def reference_refine_dem(height_grid: DemGrid, coarse_cell: float, refined_cell:
 
     consistent = ref_valid & coarse_ok & (np.abs(ref_h - coarse_of) <= consistency)
     out_h = np.where(consistent, ref_h, NODATA)
-    out_n = np.where(consistent, ref_n, 0)
     out_valid = consistent.copy()
     for r, c in zip(*np.nonzero(ref_valid & ~consistent)):
         acc = wsum = 0.0
-        nn = count_sum = 0
+        nn = 0
         for (dr, dc), w in _NEIGHBORS:
             rr, cc = r + dr, c + dc
             if 0 <= rr < nrows and 0 <= cc < ncols and consistent[rr, cc]:
                 acc += w * ref_h[rr, cc]
                 wsum += w
                 nn += 1
-                count_sum += int(ref_n[rr, cc])
         if nn >= 2:
             filled = acc / wsum
             if coarse_ok[r, c] and abs(filled - coarse_of[r, c]) <= consistency:
                 out_h[r, c] = filled
-                out_n[r, c] = count_sum
                 out_valid[r, c] = True
-    return DemGrid((x0, y0), float(refined_cell), out_h, out_n.astype(np.int64), out_valid)
+    return DemGrid((x0, y0), float(refined_cell), out_h, out_valid)
 
 
 def sym_to_matrices(t6: np.ndarray) -> np.ndarray:

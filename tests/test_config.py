@@ -122,6 +122,13 @@ class TestPartialFiles:
         assert main([f"--threads={threads}"]) == 1
         assert "threads: expected at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_config_object_threads_below_one_rejected(self, threads):
+        # run_pipeline takes a PipelineConfig built in code, not only parsed
+        message = rf"\[run\] threads: expected at least 1, got {threads}"
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(input_path="scene.xyz", threads=threads)
+
     def test_height_floor_above_ceiling_rejected(self, tmp_path, capsys):
         # the height gate would keep no point
         for floor in (0.2, float("nan")):

@@ -77,7 +77,6 @@ class TestBuildHeightGrid:
     def test_single_sample_cell(self):
         grid = build_height_grid(np.array([[0.2, 0.3, 1.5]]), 0.5, min_samples=1)
         assert grid.heights[0, 0] == 1.5
-        assert grid.counts[0, 0] == 1
         assert grid.valid[0, 0]
 
     def test_median_riding_out_canopy_outlier(self):
@@ -129,25 +128,24 @@ class TestBuildHeightGrid:
 class TestMedianGrid:
     @settings(max_examples=100, deadline=None)
     @given(
-        # cell (col, row) -> 1-4 (value, weight) samples; few distinct
-        # values make ties, and weights above 1 stand for subcell counts
+        # cell (col, row) -> 1-4 values; few distinct values make ties,
+        # and a min_count above 1 leaves some occupied cells invalid
         cells=st.dictionaries(
             st.tuples(st.integers(0, 3), st.integers(0, 3)),
-            st.lists(st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 2.0]),
-                               st.integers(1, 4)), min_size=1, max_size=4),
+            st.lists(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 2.0]), min_size=1, max_size=4),
             min_size=1, max_size=10),
+        min_count=st.integers(1, 4),
         data=st.data(),
     )
-    def test_matches_reference(self, cells, data):
-        samples = [(col, row, value, weight)
-                   for (col, row), cell_samples in cells.items()
-                   for value, weight in cell_samples]
+    def test_matches_reference(self, cells, min_count, data):
+        samples = [(col, row, value)
+                   for (col, row), cell_values in cells.items()
+                   for value in cell_values]
         samples = data.draw(st.permutations(samples))
-        xy = np.array([[(col + 0.5) * 0.5, (row + 0.5) * 0.5] for col, row, _, _ in samples])
-        values = np.array([value for _, _, value, _ in samples])
-        weights = np.array([weight for _, _, _, weight in samples], dtype=np.int64)
-        got = dem._median_grid(xy, values, weights, (0.0, 0.0), 0.5)
-        expected = reference_median_grid(xy, values, weights, (0.0, 0.0), 0.5)
+        xy = np.array([[(col + 0.5) * 0.5, (row + 0.5) * 0.5] for col, row, _ in samples])
+        values = np.array([value for _, _, value in samples])
+        got = dem._median_grid(xy, values, (0.0, 0.0), 0.5, min_count)
+        expected = reference_median_grid(xy, values, (0.0, 0.0), 0.5, min_count)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -254,11 +252,10 @@ class TestRefineDem:
     def test_matches_reference(self, seed, shape, cell, refined, coarse, consistency):
         # noisy ground with 20% raised cells, so cells are invalidated and refilled
         rng = np.random.default_rng(seed)
-        counts = rng.integers(0, 6, shape)
-        valid = counts >= 2
+        valid = rng.integers(0, 6, shape) >= 2
         raised = (rng.random(shape) < 0.2) * rng.uniform(0.3, 3.0, shape)
         heights = np.where(valid, rng.normal(0.0, 0.1, shape) + raised, NODATA)
-        grid = DemGrid(tuple(rng.uniform(-5.0, 5.0, 2)), cell, heights, counts, valid)
+        grid = DemGrid(tuple(rng.uniform(-5.0, 5.0, 2)), cell, heights, valid)
         if not valid.any():
             with pytest.raises(EmptyInputError):
                 refine_dem(grid, coarse, refined, consistency)
@@ -266,7 +263,7 @@ class TestRefineDem:
         got = refine_dem(grid, coarse, refined, consistency)
         expected = reference_refine_dem(grid, coarse, refined, consistency)
         assert (got.origin, got.cell) == (expected.origin, expected.cell)
-        for name in ("heights", "counts", "valid"):
+        for name in ("heights", "valid"):
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -308,7 +305,7 @@ class TestGroundHeightsProperty:
         rng = np.random.default_rng(seed)
         valid = rng.random(shape) < 0.6
         heights = np.where(valid, rng.normal(0, 1, shape), NODATA)
-        grid = DemGrid((-1.0, 2.0), cell, heights, valid.astype(np.int64) * 3, valid)
+        grid = DemGrid((-1.0, 2.0), cell, heights, valid)
         # queries inside, on the edges of and well outside the grid
         xy = rng.uniform(-3.0, 4.0 + 8 * cell, size=(200, 2)) + [-1.0, 2.0]
         xy[:4] = [[-1.0, 2.0], [-1.0 + shape[1] * cell, 2.0], [-1.0, 2.0 + shape[0] * cell],
@@ -339,6 +336,30 @@ class TestStageMemory:
         assert len(ground_idx) == n and refined.valid.any()
         assert peak < 64 * n
 
+    def test_dem_peak_per_cell(self, rng):
+        # two 30 m clusters 1 km apart: nearly every cell of the dense
+        # grids is empty, so the peaks are bytes per cell. They read 9.1
+        # per height cell and 37.4 per refined cell; one more int64 grid
+        # (a sample count per cell) breaks both bounds
+        points = np.concatenate([
+            np.column_stack([rng.uniform(0, 30, (20_000, 2)) + corner, rng.normal(0, 0.02, 20_000)])
+            for corner in (0.0, 1000.0)])
+        refine_dem(build_height_grid(points[:100], 0.5, min_samples=1))   # warm
+        tracemalloc.start()
+        try:
+            grid = build_height_grid(points, 0.5)
+            height_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            refined = refine_dem(grid)
+            refine_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert (grid.heights.size, refined.heights.size) == (2060 * 2060, 1030 * 1030)
+        assert refined.valid.any()
+        assert height_peak < 11 * grid.heights.size
+        assert refine_peak < 45 * refined.heights.size
+
 
 class TestAsciiExport:
     def test_header_and_rows(self):
@@ -354,7 +375,7 @@ class TestAsciiExport:
                             [NODATA, -0.001, 2.5e20, 3.0],
                             [-7e-07, 12.345678901234567, NODATA, -0.0]])
         valid = heights != NODATA
-        grid = DemGrid((-1.5, 2.25), 0.5, heights, valid.astype(np.int64), valid)
+        grid = DemGrid((-1.5, 2.25), 0.5, heights, valid)
         header = ("ncols 4\nnrows 3\nxllcorner -1.5\nyllcorner 2.25\ncellsize 0.5\n"
                   "NODATA_value -9999.0\n")
         rows = "".join(" ".join(map(repr, row)) + "\n" for row in heights[::-1].tolist())
@@ -365,9 +386,8 @@ class TestAsciiExport:
         # numpy 2 reprs a scalar as np.float64(1.5)
         heights = np.array([[0.5, NODATA]])
         valid = heights != NODATA
-        floats = DemGrid((1.5, -2.0), 0.5, heights, valid.astype(np.int64), valid)
-        scalars = DemGrid(tuple(np.array([1.5, -2.0])), np.float64(0.5), heights,
-                          valid.astype(np.int64), valid)
+        floats = DemGrid((1.5, -2.0), 0.5, heights, valid)
+        scalars = DemGrid(tuple(np.array([1.5, -2.0])), np.float64(0.5), heights, valid)
         assert to_ascii_grid(scalars) == to_ascii_grid(floats)
         assert b"xllcorner 1.5\nyllcorner -2.0\ncellsize 0.5\n" in to_ascii_grid(scalars)
 
@@ -375,7 +395,7 @@ class TestAsciiExport:
     def test_row_chunks_join_to_whole_rows(self, rng, monkeypatch, budget):
         heights = rng.normal(0.0, 3.0, (5, 4))
         heights[rng.random((5, 4)) < 0.3] = NODATA
-        grid = DemGrid((0.0, 0.0), 0.5, heights, np.ones((5, 4), dtype=np.int64), heights != NODATA)
+        grid = DemGrid((0.0, 0.0), 0.5, heights, heights != NODATA)
         monkeypatch.setattr(dem, "_ASCII_CHUNK_VALUES", budget)
         rows = "".join(" ".join(map(repr, row)) + "\n" for row in heights[::-1].tolist())
         assert to_ascii_grid(grid).endswith(b"NODATA_value -9999.0\n" + rows.encode())
@@ -387,13 +407,13 @@ class TestAsciiExport:
         heights = np.full((nrows, 2512), NODATA)
         valid = rng.random(heights.shape) < 0.0015
         heights[valid] = rng.normal(0.0, 2.0, valid.sum())
-        return DemGrid((0.0, 0.0), 0.5, heights, valid.astype(np.int64), valid)
+        return DemGrid((0.0, 0.0), 0.5, heights, valid)
 
     def test_wide_grid_peak_memory(self, rng):
         # the values are formatted a few rows at a time
         grid = self.wide_grid(rng, 200)
         heights, valid = grid.heights, grid.valid
-        to_ascii_grid(DemGrid((0.0, 0.0), 0.5, heights[:1], valid[:1], valid[:1]))  # warm
+        to_ascii_grid(DemGrid((0.0, 0.0), 0.5, heights[:1], valid[:1]))  # warm
         tracemalloc.start()
         try:
             text = to_ascii_grid(grid)

@@ -17,8 +17,7 @@ from curbmap.semantic import label_cells
 
 def flat_dem(size=12, cell=1.0, height=0.0):
     shape = (size, size)
-    return DemGrid((0.0, 0.0), cell, np.full(shape, float(height)),
-                   np.full(shape, 10, dtype=np.int64), np.ones(shape, dtype=bool))
+    return DemGrid((0.0, 0.0), cell, np.full(shape, float(height)), np.ones(shape, dtype=bool))
 
 
 def classify(points, curb=(), ground=(), params=None, dem=None):

@@ -518,6 +518,12 @@ class TestAttachSaliencies:
 
 
 class TestSaliencyField:
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, rng, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            saliency_field(cloud_of(rng.uniform(0, 1, (50, 3))), VotingParams(sigma=0.3),
+                           threads=threads)
+
     def test_plane_recovery(self, rng):
         # plane points: strong stick, negligible plate, vertical normals.
         # ball stays comparable to stick under sparse ball voting (each
