@@ -2,16 +2,19 @@
 """Run the pipeline over benchmark scenes and settings, and score each run.
 
 For every workload, seed, sigma and plate threshold, generates the
-workload's scene (perfbench/workloads.py), runs the pipeline on it in
-memory with the benchmark's curb settings, writes the four outputs into
+workload's scene (perfbench/workloads.py) and runs the pipeline on it
+with the benchmark's curb settings, the way the benchmark does: in
+memory, or for a workload read from ASCII PCD (the survey) from a PCD
+file of the scene written into --out beforehand, so the run's parse
+stage is timed and its memory seen. It writes the four outputs into
 --out and prints one JSON line: the grid point, the run report, curb
 recall/precision and grid accuracy against the scene's truth
 (perfbench/measure.py's `quality`), how many detected curb points are
 canopy, the sha256 of each written file, and whether the labeled cloud
 parses back to exactly the values written (`reparse_s` is that text
-parse's time). Each grid point runs in a fresh process, so the peak
-memory its line reports is its own. The defaults are the standard
-street demo; a sweep:
+parse's time). Each input file is written, and each grid point runs, in
+a fresh process, so the peak memory a line reports is its own run's.
+The defaults are the standard street demo; a sweep:
 
     python scripts/run_street_demo.py --workloads street,survey --seeds 0,1,2 \\
         --sigmas 0.25,0.3 --taus 0.3,0.35,0.4 --threads 1
@@ -34,15 +37,33 @@ from workloads import CURB_PARAMS, WORKLOADS  # noqa: E402
 
 from curbmap import (CurbParams, PipelineConfig, SceneSpec, VotingParams,  # noqa: E402
                      generate_scene, parse_cloud, run_pipeline)
+from curbmap.cloud import cloud_chunks  # noqa: E402
 from curbmap.scene import TRUTH_CANOPY  # noqa: E402
+
+
+def input_path(workload: str, spec: SceneSpec, out: Path) -> Path:
+    """Where write_input puts the PCD file a workload read from disk parses."""
+    return out / f"{workload}_{spec.seed}_input.pcd"
+
+
+def write_input(workload: str, spec: SceneSpec, out: Path):
+    """Write the scene as the ASCII PCD file `run` reads for the workload."""
+    with open(input_path(workload, spec, out), "wb") as file:
+        file.writelines(cloud_chunks(generate_scene(spec), "pcd"))
 
 
 def run(workload: str, spec: SceneSpec, sigma: float, tau: float, threads: int,
         out: Path) -> bool:
     """One pipeline run on the workload's scene: print its JSON line and
-    return whether the labeled cloud parsed back exactly."""
-    fmt = "pcd" if WORKLOADS[workload].source == "pcd" else "xyz"
+    return whether the labeled cloud parsed back exactly.
+
+    A workload read from ASCII PCD parses the file write_input wrote;
+    any other runs on the scene generated in memory.
+    """
+    from_file = WORKLOADS[workload].source == "pcd"
+    fmt = "pcd" if from_file else "xyz"
     config = PipelineConfig(
+        input_path=str(input_path(workload, spec, out)) if from_file else "",
         input_format=fmt,
         voting=VotingParams(sigma=sigma),
         curb=CurbParams(**{**CURB_PARAMS, "plate_threshold": tau}),
@@ -52,7 +73,7 @@ def run(workload: str, spec: SceneSpec, sigma: float, tau: float, threads: int,
         out_raster=str(out / f"{workload}_map.ppm"),
         out_grid=str(out / f"{workload}_map.sgrd"),
     )
-    result = run_pipeline(config, cloud=generate_scene(spec))
+    result = run_pipeline(config, cloud=None if from_file else generate_scene(spec))
     curbs = result.detection.indices
     sha256 = {Path(path).name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
               for path in result.written}
@@ -79,12 +100,19 @@ def run_each(points, threads: int, out: Path) -> list[bool]:
     """`run` each (workload, spec, sigma, tau) of points, one after another,
     each in a fresh process.
 
-    The processes are forked from a fork server, not spawned: a spawned
-    process starts from its parent's high-water RSS (Linux carries it
-    across exec), which would floor every reading at the caller's.
+    The input of each scene read from ASCII PCD is written first, in a
+    fresh process of its own, so a run's peak memory holds neither the
+    generated scene nor its text. The processes are
+    forked from a fork server, not spawned: a spawned process starts
+    from its parent's high-water RSS (Linux carries it across exec),
+    which would floor every reading at the caller's.
     """
     server = multiprocessing.get_context("forkserver")
+    scenes = dict.fromkeys((workload, spec) for workload, spec, _, _ in points
+                           if WORKLOADS[workload].source == "pcd")
     with ProcessPoolExecutor(1, mp_context=server, max_tasks_per_child=1) as pool:
+        for scene in scenes:
+            pool.submit(write_input, *scene, out).result()
         return [pool.submit(run, *point, threads, out).result() for point in points]
 
 

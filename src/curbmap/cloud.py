@@ -6,20 +6,25 @@ channels on the cloud. Points with non-finite coordinates are dropped at
 parse time and reported in the parse summary rather than failing the
 whole file, since real LiDAR dumps routinely contain NaN returns.
 
-The reader decodes its source (a str is encoded once) through the
-standard library's universal-newline reader, io.TextIOWrapper, in blocks
-of _CHUNK_CHARS characters that may end anywhere, splits each block with
-str.splitlines and carries a block's unfinished last line into the next:
-the lines are those of the whole text split at once, whichever line
-breaks end them, but the decoded text is never held whole, so a parse
-peaks at about twice the parsed arrays and a pipeline run on a text
-cloud (perfbench's survey, a 7.6 MB ASCII PCD) peaks after the vote.
+The reader takes bytes, a str (encoded once) or a binary file, which it
+reads in place of bytes and leaves open; run_pipeline hands it the open
+input file. It decodes the source through the standard library's
+universal-newline reader, io.TextIOWrapper, in blocks of _CHUNK_CHARS
+characters that may end anywhere, splits each block with str.splitlines
+and carries a block's unfinished last line into the next: the lines are
+those of the whole text split at once, whichever line breaks end them,
+but neither the decoded text nor a file's bytes are ever held whole, so
+a parse peaks at about twice the parsed arrays plus a text block,
+whatever the file's size. A pipeline run on a text cloud (perfbench's
+survey, a 7.6 MB ASCII PCD) peaks in decompose, where the vote's
+tensors sit beside the new saliency channels, as one on a cloud in
+memory does.
 Both formats share one data path, in chunks of _CHUNK_ROWS lines so
 that no Python frame runs per value: each line is split once with
-str.split, lines without tokens and XYZ comments are dropped, row widths
-are checked with numpy, every token of the chunk goes through one
-map(float, ...) (Python's float spellings, nan and 1_0 included) and a
-numpy mask drops the rows with a non-finite coordinate.
+str.split as it is read, lines without tokens and XYZ comments are
+dropped, row widths are checked with numpy, every token of the chunk
+goes through one map(float, ...) (Python's float spellings, nan and 1_0
+included) and a numpy mask drops the rows with a non-finite coordinate.
 
 Both writers, cloud_chunks and dem.dem_chunks, hand each chunk of rows
 to _float_text, which emits the bytes repr would give for every float
@@ -33,9 +38,11 @@ as the reference.
 from __future__ import annotations
 
 import io
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from typing import BinaryIO
 
 import numpy as np
 
@@ -69,7 +76,9 @@ class PointCloud:
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ValueError(f"points must be (n, 3), got {self.points.shape}")
-        if not np.isfinite(self.points).all():
+        # min and max are NaN or infinite exactly when a coordinate is, and
+        # unlike isfinite they make no (n, 3) mask
+        if len(self.points) and not np.isfinite([self.points.min(), self.points.max()]).all():
             raise ValueError("point coordinates must be finite")
         self.channels = {
             name: np.ascontiguousarray(values, dtype=np.float64)
@@ -134,22 +143,45 @@ class ParseSummary:
         return len(self.rejected_lines)
 
 
-def parse_cloud(source: bytes | str, fmt: str) -> tuple[PointCloud, ParseSummary]:
+class SizedFile(io.BufferedReader):
+    """A file opened for binary reading whose len() is its size at opening.
+
+    len() of it reads as len() of the file's bytes would, so a source
+    that streams still has a length in bytes wherever one is asked of
+    it; run_pipeline hands parse_cloud one.
+    """
+
+    def __init__(self, path):
+        super().__init__(io.FileIO(path, "rb"))
+        self.size = os.fstat(self.fileno()).st_size
+
+    def __len__(self):
+        return self.size
+
+
+def parse_cloud(source: bytes | str | BinaryIO, fmt: str) -> tuple[PointCloud, ParseSummary]:
     """Parse a point cloud from text. Returns the cloud and a parse summary.
 
-    fmt is "pcd" or "xyz". Rows whose coordinates are not finite are
-    dropped and recorded in the summary. Structural problems (bad header,
-    declared/actual count mismatch, short rows) raise ParseError; when
-    several rows are bad, the first one in file order is reported.
+    source is the text as bytes or str, or a binary file open for
+    reading, which is read from its current position to its end a block
+    at a time and is left open. fmt is "pcd" or "xyz". Rows whose
+    coordinates are not finite are dropped and recorded in the summary.
+    Structural problems (bad header, declared/actual count mismatch,
+    short rows) raise ParseError; when several rows are bad, the first
+    one in file order is reported.
     """
     fmt = fmt.lower()
     if fmt not in ("pcd", "xyz"):
         raise ValueError(f"unknown format {fmt!r} (expected 'pcd' or 'xyz')")
-    lines = chain.from_iterable(_line_chunks(source))
-    return _parse_pcd(lines) if fmt == "pcd" else _parse_xyz(lines)
+    chunks = _line_chunks(source)
+    try:
+        lines = chain.from_iterable(chunks)
+        return _parse_pcd(lines) if fmt == "pcd" else _parse_xyz(lines)
+    finally:
+        chunks.close()   # a parse that stopped early lets go of the file now
 
 
-def _line_chunks(source: bytes | str) -> Iterator[list[str]]:
+def _line_chunks(source: bytes | str | BinaryIO) -> Iterator[list[str]]:
     """The lines of source, as str.splitlines gives them, in blocks.
 
     The source is read as UTF-8 through a universal-newline TextIOWrapper
@@ -158,13 +190,17 @@ def _line_chunks(source: bytes | str) -> Iterator[list[str]]:
     next block. The reader turns "\\r\\n" and "\\r" into "\\n" and holds a
     trailing "\\r" until its next read, so no line break falls across two
     blocks. Bytes decode with errors replaced; a str is encoded once and
-    decodes back exactly, lone surrogates included.
+    decodes back exactly, lone surrogates included. A file is read in
+    place of bytes and detached from the reader when the generator ends
+    or is closed, so it is never closed here.
     """
     errors = "replace"
     if isinstance(source, str):
         source, errors = source.encode("utf-8", "surrogatepass"), "surrogatepass"
-    with io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", errors=errors,
-                          newline=None) as reader:
+    if not hasattr(source, "read"):
+        source = io.BytesIO(source)
+    reader = io.TextIOWrapper(source, encoding="utf-8", errors=errors, newline=None)
+    try:
         pieces = []   # the start of a line that no line break has ended yet
         while block := reader.read(_CHUNK_CHARS):
             lines = block.splitlines()
@@ -178,6 +214,8 @@ def _line_chunks(source: bytes | str) -> Iterator[list[str]]:
             yield lines
         if pieces:
             yield ["".join(pieces)]
+    finally:
+        reader.detach()
 
 
 def _data_lines(lines: Iterator[str], lineno: int, skip_comments: bool):
@@ -186,11 +224,12 @@ def _data_lines(lines: Iterator[str], lineno: int, skip_comments: bool):
     lineno counts the lines already taken from the iterator. Lines
     without tokens are left out, and with skip_comments so are lines
     whose first token starts with # (XYZ comments; a PCD data section
-    has none). Chunks with no data line are not yielded.
+    has none). Chunks with no data line are not yielded. Each line is
+    split as it is taken, so a chunk holds tokens, never its lines' text.
     """
-    while chunk := list(islice(lines, _CHUNK_ROWS)):
+    while chunk := list(map(str.split, islice(lines, _CHUNK_ROWS))):
         rows, numbers = [], []
-        for n, tokens in enumerate(map(str.split, chunk), lineno + 1):
+        for n, tokens in enumerate(chunk, lineno + 1):
             if tokens and not (skip_comments and tokens[0][0] == "#"):
                 rows.append(tokens)
                 numbers.append(n)

@@ -266,8 +266,14 @@ def ground_model(cloud: PointCloud, params: GroundParams) -> tuple[np.ndarray, D
     qualifies as ground or no height cell holds min_samples of them.
     """
     ground_idx = extract_ground_candidates(cloud, params)
-    height_grid = build_height_grid(cloud.points[ground_idx], params.height_cell,
+    # the candidates in column-major order: each coordinate is contiguous,
+    # so the lower-median sort reads z in place instead of copying it
+    columns = np.empty((3, len(ground_idx)))
+    for k, column in enumerate(columns):
+        column[:] = cloud.points[ground_idx, k]
+    height_grid = build_height_grid(columns.T, params.height_cell,
                                     min_samples=params.min_samples)
+    del columns
     return ground_idx, refine_dem(height_grid, params.coarse_cell,
                                   params.refined_cell, params.consistency)
 

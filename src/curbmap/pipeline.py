@@ -17,7 +17,6 @@ import resource
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +25,8 @@ from . import dem as dem_mod
 from . import semantic, voting
 # write_cloud is not called here; perfbench/spans.py traces it under this
 # module's name, so it stays importable from it
-from .cloud import PointCloud, cloud_chunks, crop, parse_cloud, write_cloud  # noqa: F401
+from .cloud import (PointCloud, SizedFile, cloud_chunks, crop, parse_cloud,  # noqa: F401
+                    write_cloud)
 from .config import PipelineConfig
 from .errors import EmptyInputError, PipelineError
 from .neighbors import build_index
@@ -108,10 +108,12 @@ def run_pipeline(config: PipelineConfig, cloud: PointCloud | None = None) -> Pip
     try:
         with stage("parse"):
             if cloud is None:
-                # the file's bytes are referenced only by the call, so they
-                # are freed when it returns
-                cloud, summary = parse_cloud(Path(config.input_path).read_bytes(),
-                                             config.input_format)
+                # the file streams into the parser one text block at a
+                # time, so the parse never holds its bytes whole; the
+                # source's len() is still the file's size, which
+                # perfbench/measure.py reads from this call as bytes_in
+                with SizedFile(config.input_path) as source:
+                    cloud, summary = parse_cloud(source, config.input_format)
                 report.counts["parse_rejected"] = summary.rejected
         report.counts["parse_points"] = len(cloud)
 

@@ -197,5 +197,5 @@ def truth_grid(cloud: PointCloud, spec: SceneSpec, params: ClassifyParams) -> Se
     pts = cloud.points
     truth = cloud.channel("truth")
     return label_cells(pts[:, :2], pts[:, 2] - true_ground_height(spec, pts[:, :2]),
-                       np.ones(len(pts), dtype=bool), truth == TRUTH_CURB,
+                       truth == TRUTH_CURB,
                        (truth == TRUTH_ROAD) | (truth == TRUTH_SIDEWALK), params)

@@ -108,47 +108,47 @@ def classify_cells(cloud: PointCloud, dem: DemGrid, curb_indices: np.ndarray,
     if (pts[:, 0].max() < dem.origin[0] or pts[:, 0].min() > dem_x1
             or pts[:, 1].max() < dem.origin[1] or pts[:, 1].min() > dem_y1):
         raise FrameMismatchError("cloud extent is disjoint from the DEM extent")
-    height, known = ground_heights(dem, pts[:, :2])
-    above = np.subtract(pts[:, 2], height, out=height)
-    return label_cells(pts[:, :2], above, known,
-                       np.asarray(curb_indices, dtype=np.int64),
+    above, known = ground_heights(dem, pts[:, :2])
+    np.subtract(pts[:, 2], above, out=above)
+    above[~known] = -np.inf   # a point over unknown ground, which no height rule counts
+    del known
+    return label_cells(pts[:, :2], above, np.asarray(curb_indices, dtype=np.int64),
                        np.asarray(ground_indices, dtype=np.int64), params)
 
 
-def label_cells(xy: np.ndarray, above: np.ndarray, known: np.ndarray, curb, ground,
+def label_cells(xy: np.ndarray, above: np.ndarray, curb, ground,
                 params: ClassifyParams) -> SemanticGrid:
     """Bin points into cells and label each cell by the priority rules.
 
     xy (n, 2) places the points on a grid whose origin is their min
     corner snapped to the cell size. above is each point's height over
-    the ground, read only where `known`. curb and ground select points,
-    as indices or a boolean mask: curb evidence and road-surface
+    the ground, -inf where the ground is unknown. curb and ground select
+    points, as indices or a boolean mask: curb evidence and road-surface
     evidence. The rules run over the occupied cells only; the label
     raster, one byte per cell, is the one array the size of the grid.
     Each per-cell count is reduced to the boolean its rule reads as soon
-    as it is made, so no more than two counts are alive at once.
+    as it is made, and the ground count is made before the point count,
+    so no more than two counts and one gather of slots are alive at once.
     Raises CurbmapError when the grid is too large (see dem.grid_shape).
     """
     origin = snapped_origin(xy, params.cell)
     shape, cells, slot = occupied_cells(xy, origin, params.cell)
     ncells = len(cells)
 
-    counts = np.bincount(slot)
-    enough = counts >= params.min_points
     ground_count = np.bincount(slot[ground], minlength=ncells)
     ground_count *= 2
+    counts = np.bincount(slot)
+    enough = counts >= params.min_points
     majority = ground_count > counts   # road evidence: ground candidates outnumber the rest
     del counts, ground_count
     curb_cells = np.zeros(ncells, dtype=bool)
     curb_cells[slot[curb]] = True
 
-    # a point over unknown ground reads -inf, which no height rule counts
-    kabove = np.where(known, above, -np.inf)
-    wall = np.bincount(slot[kabove > params.robot_height], minlength=ncells)
+    wall = np.bincount(slot[above > params.robot_height], minlength=ncells)
     wall = enough & (wall > params.wall_point_threshold)
     max_above = np.full(ncells, -np.inf)
-    np.maximum.at(max_above, slot, kabove)
-    del slot, kabove
+    np.maximum.at(max_above, slot, above)
+    del slot
     has_height = max_above > -np.inf   # the cell holds a point over known ground
 
     labels = np.full(ncells, int(SemanticLabel.UNKNOWN), dtype=np.uint8)

@@ -1,3 +1,6 @@
+import io
+import sys
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +13,7 @@ from oracles import reference_float_rows, reference_parse_cloud, reference_write
 from curbmap import (ChannelMissingError, CropBox, ParseError, PointCloud, crop,
                      parse_cloud, write_cloud)
 from curbmap import cloud as cloud_module
-from curbmap.cloud import _float_text, cloud_chunks
+from curbmap.cloud import SizedFile, _float_text, cloud_chunks
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -435,6 +438,32 @@ class TestParseFuzz:
               mock.patch.object(cloud_module, "_CHUNK_CHARS", chars)):
             assert outcome(parse_cloud, source, fmt) == expected
 
+    @given(fuzz_sources, st.sampled_from(["xyz", "pcd"]), st.integers(1, 3), chunk_chars)
+    @settings(max_examples=300, deadline=None)
+    def test_file_source_gives_outcome_of_its_bytes(self, source, fmt, chunk, chars):
+        # a binary file, in memory or on disk, is read in place of its
+        # bytes; whether the parse succeeds or raises, the file is left
+        # open and the parse keeps no reference to it
+        data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
+        expected = outcome(parse_cloud, data, fmt)
+        with (mock.patch.object(cloud_module, "_CHUNK_ROWS", chunk),
+              mock.patch.object(cloud_module, "_CHUNK_CHARS", chars),
+              tempfile.TemporaryFile() as on_disk):
+            on_disk.write(data)
+            for file in (io.BytesIO(data), on_disk):
+                file.seek(0)
+                refs = sys.getrefcount(file)
+                assert outcome(parse_cloud, file, fmt) == expected
+                assert not file.closed and sys.getrefcount(file) == refs
+
+    def test_sized_file_len_is_file_size(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_bytes(b"1 2 3\n4 5 6\n")
+        with SizedFile(path) as file:
+            assert len(file) == 12
+            cloud, _ = parse_cloud(file, "xyz")
+        assert len(file) == 12 and len(cloud) == 2   # the size outlives the file
+
     @staticmethod
     def peak_over_output(rng, eol):
         """tracemalloc peak of parsing 100k PCD rows, lines ended by eol, over the output."""
@@ -564,3 +593,26 @@ class TestPointCloudInvariants:
     def test_missing_channel_error(self):
         with pytest.raises(ChannelMissingError):
             make_cloud([[0, 0, 0]]).channel("stick")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coordinate_anywhere_rejected(self, bad):
+        for at in [(0, 0), (3, 2), (7, 1)]:
+            points = np.zeros((8, 3))
+            points[at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                PointCloud(points)
+
+    def test_with_channels_makes_no_point_mask(self, rng):
+        # the export attaches curb_conf to the whole cloud: checking the
+        # coordinates again took an (n, 3) boolean mask, 300 KB here
+        n = 100_000
+        cloud = make_cloud(rng.normal(size=(n, 3)))
+        conf = rng.random(n)
+        tracemalloc.start()
+        try:
+            labeled = cloud.with_channels(curb_conf=conf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labeled.channels["curb_conf"] is conf
+        assert peak < 4096

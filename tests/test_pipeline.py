@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -221,6 +222,46 @@ class TestRunPipeline:
         assert isinstance(err.value.cause, CurbmapError)
         assert "at cell size 0.12 m" in str(err.value)
         assert not list(tmp_path.iterdir())
+
+    def test_parse_peak_set_by_cloud_not_file(self, tmp_path, small_cloud):
+        # 2,000 points whose lines are padded to about 10 KB: the file is
+        # over 400 times the parsed arrays, yet the run peaks within a few
+        # text blocks of the same cloud read from its compact file
+        cloud = PointCloud(small_cloud.points[::6][:2000])
+        compact = write_cloud(cloud, "xyz")
+        (tmp_path / "compact.xyz").write_bytes(compact)
+        (tmp_path / "padded.xyz").write_bytes(compact.replace(b"\n", b" " * 10_000 + b"\n"))
+        assert (tmp_path / "padded.xyz").stat().st_size > 10 * cloud.points.nbytes
+        peaks = {}
+        for name in ("compact", "padded"):
+            config = config_for(tmp_path, input_path=str(tmp_path / f"{name}.xyz"),
+                                input_format="xyz", out_cloud="", out_dem="", out_raster="",
+                                out_grid="")
+            tracemalloc.start()
+            try:
+                result = run_pipeline(config)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.timing.counts["parse_points"] == len(cloud)
+        assert peaks["padded"] < peaks["compact"] + (1 << 18)
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_input_fails_at_parse(self, tmp_path, capsys, kind):
+        path = tmp_path / "in.xyz"
+        if kind == "directory":
+            path.mkdir()
+        config = config_for(tmp_path, input_path=str(path), input_format="xyz")
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "parse" and isinstance(err.value.cause, OSError)
+        outputs = [Path(p) for p in (config.out_cloud, config.out_dem, config.out_raster,
+                                     config.out_grid)]
+        assert not any(out.exists() for out in outputs)
+        assert main(["--input", str(path), "--out-grid", config.out_grid]) == 1
+        captured = capsys.readouterr()
+        assert "error: stage 'parse' failed" in captured.err and captured.out == ""
+        assert not any(out.exists() for out in outputs)
 
     def test_reads_cloud_from_disk(self, tmp_path, small_cloud):
         path = tmp_path / "scene.xyz"

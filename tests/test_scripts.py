@@ -109,6 +109,16 @@ def test_demo_points_run_in_fresh_processes(tmp_path, monkeypatch, capfd):
     assert (first["workload"], second["workload"]) == ("street", "survey")
     # in one process the survey would start at the street's high-water mark
     assert second["stage_peak_rss_mb"]["parse"] < first["peak_rss_mb"]
+    # the survey parses the PCD file a process of its own wrote, as the
+    # benchmark reads it; the street runs on its scene in memory
+    survey = demo.generate_scene(points[1][1])
+    source = tmp_path / "survey_0_input.pcd"
+    assert demo.parse_cloud(source.read_bytes(), "pcd")[0].points.tobytes() == \
+        survey.points.tobytes()
+    assert second["counts"]["parse_points"] == len(survey)
+    assert second["seconds"]["parse"] > 10 * first["seconds"]["parse"]
+    assert first["counts"]["parse_points"] == len(demo.generate_scene(points[0][1]))
+    assert not (tmp_path / "street_0_input.pcd").exists()
 
 
 def load_script(name):
